@@ -103,7 +103,7 @@ def cut(u: CellularMap) -> CutResult:
     prof = v1_profile(u)
     if prof.degree == 2:
         raise DegenerateM2("root vertex of degree 2 has no second cut pair")
-    if prof.third_pos < prof.second_pos:
+    if prof.third < prof.second:
         raise WrongScenario("cut applies to scenario A only")
     cycles = _cut_cycles(u)
     result = canonicalize(3, cycles, _alpha_mapping(u))
@@ -135,7 +135,7 @@ def glue(x: CellularMap) -> CellularMap:
     assert out.np_edge_count == x.np_edge_count + 2
     assert out.genus() == x.aggregate_genus() + 2
     prof = v1_profile(out)
-    assert prof.degree >= 3 and prof.third_pos > prof.second_pos
+    assert prof.degree >= 3 and prof.third > prof.second
     return out
 
 

@@ -1,10 +1,11 @@
 """Exhaustive census of planted maps with one, two or three faces.
 
-Matchings of the non-plant half-edges are generated in lexicographic order:
-the smallest unmatched point is paired with each larger point in ascending
-order.  Streams are therefore reproducible, duplicate free, and the matching
-space can be partitioned into shards by the first pairing choice.  Counting
-uses exact integers throughout.
+One enumerator, :func:`_pairings`, walks the perfect matchings of the
+non-plant half-edges of a face layout in lexicographic order: the smallest
+unmatched id is paired with each larger unmatched id in ascending order.
+:func:`count` and the three map streams share it, so streams are
+reproducible and duplicate free and the counts tally exactly what the
+streams yield.  Counting uses exact integers throughout.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from plantedmaps.core import CellularMap, FaceStructure, MapError
+from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure
 
 #: Default per-kind bounds on the non-plant edge count (desk scale).
 N_MAX = {"unicellular": 8, "bicellular": 6, "tricellular": 5}
@@ -25,10 +26,6 @@ _KIND_ALIASES = {
     "bicellular": "bicellular",
     "tricellular": "tricellular",
 }
-
-
-class BoundExceeded(MapError):
-    pass
 
 
 def normalize_kind(kind: str) -> str:
@@ -58,186 +55,131 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _matchings(points: int, shard: int = 0, shards: int = 1) -> Iterator[tuple[int, ...]]:
-    """Perfect matchings of ``range(points)`` as partner tuples.
+def _pairings(faces: FaceStructure) -> Iterator[list[int]]:
+    """Every pairing of ``faces`` as a partner list over all half-edges.
 
-    With ``shards > 1`` only the branches whose first pairing index is
-    congruent to ``shard`` are emitted; the empty matching belongs to
-    shard 0.
+    The interiors must hold an even number of ids in total.  Roots are
+    paired with their plants; the non-plant ids are matched in
+    lexicographic order: the smallest unmatched id is paired with each
+    larger unmatched id in ascending order.  The same list is yielded each
+    time and changed in place between yields, so callers copy what they
+    keep.
     """
-    if points % 2:
-        return
-    if points == 0:
-        if shard % shards == 0:
-            yield ()
-        return
-    partner = [-1] * points
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        while i < points and partner[i] >= 0:
-            i += 1
-        if i == points:
-            yield tuple(partner)
-            return
-        for j in range(i + 1, points):
-            if partner[j] < 0:
-                partner[i] = j
-                partner[j] = i
-                yield from rec(i + 1)
-                partner[i] = -1
-                partner[j] = -1
-
-    for j in range(1, points):
-        if (j - 1) % shards != shard % shards:
-            continue
-        partner[0] = j
-        partner[j] = 0
-        yield from rec(1)
-        partner[0] = -1
-        partner[j] = -1
-
-
-def _map_from_matching(faces: FaceStructure, matching: tuple[int, ...]) -> CellularMap:
-    np_ids = faces.np_ids
-    partner = [0] * faces.total_half_edges
-    for i in range(faces.k):
-        r, s = faces.root(i), faces.plant(i)
+    ids = faces.np_ids
+    points = len(ids)
+    partner = [-1] * faces.total_half_edges
+    for r, s in zip(faces.roots, faces.plants):
         partner[r] = s
         partner[s] = r
-    for p, q in enumerate(matching):
-        partner[np_ids[p]] = np_ids[q]
-    return CellularMap(faces, tuple(partner))
+    if points == 0:
+        yield partner
+        return
+    last = points // 2 - 1
+    # Depth d pairs lo[d], the smallest point left unmatched by depths < d,
+    # with hi[d] (equal to lo[d] before the first choice); both index ``ids``.
+    lo = [0] * (last + 1)
+    hi = [0] * (last + 1)
+    depth = 0
+    while depth >= 0:
+        i, j = lo[depth], hi[depth]
+        a = ids[i]
+        if j != i:
+            partner[ids[j]] = -1
+        j += 1
+        while j < points and partner[ids[j]] >= 0:
+            j += 1
+        if j == points:
+            partner[a] = -1
+            depth -= 1
+            continue
+        b = ids[j]
+        partner[a] = b
+        partner[b] = a
+        if depth == last:
+            yield partner
+            partner[a] = partner[b] = -1
+            depth -= 1
+            continue
+        hi[depth] = j
+        i += 1
+        while partner[ids[i]] >= 0:
+            i += 1
+        depth += 1
+        lo[depth] = hi[depth] = i
 
 
-def unicellular_stream(n: int, shard: int = 0, shards: int = 1) -> Iterator[CellularMap]:
+def unicellular_stream(n: int) -> Iterator[CellularMap]:
     """All planted one-face maps with ``n`` non-plant edges, one per perfect
     matching of the interior, in lexicographic matching order."""
     faces = FaceStructure((2 * n,))
-    for m in _matchings(2 * n, shard, shards):
-        yield _map_from_matching(faces, m)
+    for partner in _pairings(faces):
+        yield CellularMap(faces, tuple(partner))
 
 
-def _cellular_stream(
-    k: int, n: int, connected_only: bool, shard: int, shards: int
-) -> Iterator[CellularMap]:
+def _cellular_stream(k: int, n: int, connected_only: bool) -> Iterator[CellularMap]:
     for comp in compositions(2 * n, k):
         faces = FaceStructure(comp)
-        for m in _matchings(2 * n, shard, shards):
-            mp = _map_from_matching(faces, m)
+        for partner in _pairings(faces):
+            mp = CellularMap(faces, tuple(partner))
             if connected_only and not mp.is_connected:
                 continue
             yield mp
 
 
-def bicellular_stream(
-    n: int, connected_only: bool = True, shard: int = 0, shards: int = 1
-) -> Iterator[CellularMap]:
+def bicellular_stream(n: int, connected_only: bool = True) -> Iterator[CellularMap]:
     """All connected planted two-face maps with ``n`` non-plant edges, over
     every interior split and matching."""
-    yield from _cellular_stream(2, n, connected_only, shard, shards)
+    yield from _cellular_stream(2, n, connected_only)
 
 
-def tricellular_stream(
-    n: int, connected_only: bool = True, shard: int = 0, shards: int = 1
-) -> Iterator[CellularMap]:
+def tricellular_stream(n: int, connected_only: bool = True) -> Iterator[CellularMap]:
     """All connected planted three-face maps with ``n`` non-plant edges."""
-    yield from _cellular_stream(3, n, connected_only, shard, shards)
+    yield from _cellular_stream(3, n, connected_only)
 
 
-def stream(kind: str, n: int, shard: int = 0, shards: int = 1) -> Iterator[CellularMap]:
-    kind = normalize_kind(kind)
-    if kind == "unicellular":
-        return unicellular_stream(n, shard, shards)
-    if kind == "bicellular":
-        return bicellular_stream(n, True, shard, shards)
-    return tricellular_stream(n, True, shard, shards)
-
-
-def _count_for_faces(faces: FaceStructure, shard: int, shards: int) -> dict[int, int]:
-    """Per-genus counts over all matchings of one face layout, without
+def _count_for_faces(faces: FaceStructure) -> dict[int, int]:
+    """Per-genus counts over all pairings of one face layout, without
     building map objects.  Disconnected maps are skipped for k >= 2."""
     total = faces.total_half_edges
     k = faces.k
-    gamma = list(faces.gamma)
-    np_ids = faces.np_ids
-    points = len(np_ids)
+    gamma = faces.gamma
     n_edges = total // 2
-    partner = [-1] * total
-    for i in range(k):
-        r, s = faces.root(i), faces.plant(i)
-        partner[r] = s
-        partner[s] = r
     counts: dict[int, int] = {}
     seen = [0] * total
     stamp = 0
-
-    def leaf() -> None:
-        nonlocal stamp
+    for partner in _pairings(faces):
         stamp += 1
-        mark = stamp
         cycles = 0
         for s0 in range(total):
-            if seen[s0] == mark:
+            if seen[s0] == stamp:
                 continue
             cycles += 1
             h = s0
-            while seen[h] != mark:
-                seen[h] = mark
+            while seen[h] != stamp:
+                seen[h] = stamp
                 h = partner[gamma[h]]
         if k > 1:
             stamp += 1
-            mark2 = stamp
-            seen[0] = mark2
+            seen[0] = stamp
             stack = [0]
             reached = 1
             while stack:
                 h = stack.pop()
                 for t in (partner[h], partner[gamma[h]]):
-                    if seen[t] != mark2:
-                        seen[t] = mark2
+                    if seen[t] != stamp:
+                        seen[t] = stamp
                         reached += 1
                         stack.append(t)
             if reached != total:
-                return
+                continue
         g = (2 - cycles + n_edges - k) // 2
         counts[g] = counts.get(g, 0) + 1
-
-    def rec(i: int) -> None:
-        while i < points and partner[np_ids[i]] >= 0:
-            i += 1
-        if i == points:
-            leaf()
-            return
-        a = np_ids[i]
-        for j in range(i + 1, points):
-            b = np_ids[j]
-            if partner[b] < 0:
-                partner[a] = b
-                partner[b] = a
-                rec(i + 1)
-                partner[b] = -1
-        partner[a] = -1
-
-    if points == 0:
-        if shard % shards == 0:
-            leaf()
-        return counts
-    a0 = np_ids[0]
-    for j in range(1, points):
-        if (j - 1) % shards != shard % shards:
-            continue
-        b0 = np_ids[j]
-        partner[a0] = b0
-        partner[b0] = a0
-        rec(1)
-        partner[a0] = -1
-        partner[b0] = -1
     return counts
 
 
 @dataclass
 class CountTable:
-    """Exact per-(genus, edge count) map counts; mergeable across shards."""
+    """Exact per-(genus, edge count) map counts; mergeable across edge counts."""
 
     kind: str
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -274,29 +216,26 @@ class CountTable:
         return json.dumps({"kind": self.kind, "table": table}, separators=(",", ":"))
 
 
-def count(kind: str, n: int, shards: int = 1) -> CountTable:
+def count(kind: str, n: int) -> CountTable:
     """Census counts of ``kind`` maps with ``n`` non-plant edges by genus.
 
     The result carries a row for every genus up to ``n // 2`` (zeros
-    included) and is independent of the shard count.
+    included).
     """
     kind = check_bound(kind, n)
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
     k = {"unicellular": 1, "bicellular": 2, "tricellular": 3}[kind]
     table = CountTable(kind, {(g, n): 0 for g in range(n // 2 + 1)})
     for comp in compositions(2 * n, k):
         faces = FaceStructure(comp)
-        for shard in range(shards):
-            for g, c in _count_for_faces(faces, shard, shards).items():
-                table.add(g, n, c)
+        for g, c in _count_for_faces(faces).items():
+            table.add(g, n, c)
     return table
 
 
-def count_range(kind: str, n_max: int, shards: int = 1) -> CountTable:
+def count_range(kind: str, n_max: int) -> CountTable:
     """Merged census table for every edge count up to ``n_max``."""
     kind = normalize_kind(kind)
     table = CountTable(kind)
     for n in range(n_max + 1):
-        table.merge(count(kind, n, shards))
+        table.merge(count(kind, n))
     return table

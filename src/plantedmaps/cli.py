@@ -2,7 +2,7 @@
 
 Commands: count, classify, verify, roundtrip, show, export.  Exit codes:
 0 on success, 1 when a verification or round-trip check fails, 2 on invalid
-input.
+input or an ``--output`` file that cannot be written.
 
 Index conventions: ``count``, ``classify`` and ``show`` take the raw genus
 and non-plant edge count of the maps themselves, while ``verify`` and
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.core import MapError, decode
@@ -25,19 +24,6 @@ from plantedmaps.roundtrips import BIJECTION_NAMES
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the command handlers."""
-
-    command: str
-    args: argparse.Namespace
-
-    def __post_init__(self):
-        shards = getattr(self.args, "shards", 1)
-        if shards < 1:
-            raise MapError("shard count must be >= 1")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -54,9 +40,8 @@ def _table_text(table: census.CountTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    a = cfg.args
-    table = census.count(a.kind, a.edges, a.shards)
+def cmd_count(a: argparse.Namespace) -> int:
+    table = census.count(a.kind, a.edges)
     text = {
         "table": _table_text,
         "json": lambda t: t.to_json() + "\n",
@@ -66,16 +51,14 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    a = cfg.args
-    table = census.count_range(a.kind, a.max_edges, a.shards)
+def cmd_export(a: argparse.Namespace) -> int:
+    table = census.count_range(a.kind, a.max_edges)
     text = table.to_csv() if a.format == "csv" else table.to_json() + "\n"
     _emit(text, a.output)
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_classify(a: argparse.Namespace) -> int:
     if a.genus < 2 or a.edges < 2:
         raise MapError(
             "classify needs maps of genus >= 2 with >= 2 edges "
@@ -96,33 +79,30 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_verify(a: argparse.Namespace) -> int:
     if a.relation == "hz":
-        reports = oracle.verify_hz(a.max_n, a.shards)
+        reports = oracle.verify_hz(a.max_n)
     elif a.relation == "bicellular":
-        reports = oracle.verify_bicellular(a.max_n, a.shards)
+        reports = oracle.verify_bicellular(a.max_n)
     else:
         reports = oracle.verify_theorem_range(a.max_n)
     _emit(json.dumps(reports, indent=2) + "\n", a.output)
     return EXIT_OK if all(r["ok"] for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_roundtrip(a: argparse.Namespace) -> int:
     report = roundtrips.roundtrip(a.bijection, a.g, a.n)
     _emit(json.dumps(report, indent=2) + "\n", a.output)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def cmd_show(cfg: RunConfig) -> int:
-    a = cfg.args
+def cmd_show(a: argparse.Namespace) -> int:
     mp = decode(a.map)
     doc = {
         "kind": mp.kind(),
         "genus": mp.genus(),
         "np_edges": mp.np_edge_count,
-        "vertices": [list(c) for c in mp.vertices()],
+        "vertices": [list(c) for c in mp.vertex_cycles],
         "class": None,
         "scenario": None,
     }
@@ -144,10 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
+    def add_shards(p):
+        p.add_argument(
+            "--shards", type=int, default=1,
+            help="accepted for compatibility (K >= 1); never changes the output",
+        )
+
     p = sub.add_parser("count", help="census counts by genus for one edge count")
     p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
     p.add_argument("--edges", required=True, type=int, help="non-plant edge count n")
-    p.add_argument("--shards", type=int, default=1)
+    add_shards(p)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     add_common(p)
     p.set_defaults(handler=cmd_count)
@@ -155,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="census table for all edge counts up to a bound")
     p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
     p.add_argument("--max-edges", required=True, type=int)
-    p.add_argument("--shards", type=int, default=1)
+    add_shards(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     add_common(p)
     p.set_defaults(handler=cmd_export)
@@ -172,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a counting relation over a grid")
     p.add_argument("--relation", required=True, choices=["hz", "bicellular", "theorem"])
     p.add_argument("--max-n", required=True, type=int)
-    p.add_argument("--shards", type=int, default=1)
+    add_shards(p)
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -195,12 +181,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(args.command, args)
-        return args.handler(cfg)
-    except MapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+        if getattr(args, "shards", 1) < 1:
+            raise MapError("shard count must be >= 1")
+        return args.handler(args)
+    except (MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

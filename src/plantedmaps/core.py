@@ -49,12 +49,12 @@ class SizeMismatch(ValidationError):
     pass
 
 
-class PlantNotFixed(ValidationError):
-    pass
-
-
 class ParseError(MapError):
     """Malformed serialized map text."""
+
+
+class BoundExceeded(MapError):
+    """A request outside the range an exhaustive computation supports."""
 
 
 class Disconnected(MapError):
@@ -204,9 +204,6 @@ class CellularMap:
             cycles.append(tuple(cyc))
         return tuple(cycles)
 
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return self.vertex_cycles
-
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
         """For each half-edge, the index of its vertex cycle."""
@@ -274,18 +271,6 @@ class CellularMap:
             if not 0 <= h < total:
                 raise ValidationError(f"half-edge id {h} out of range")
         return all(self.alpha[h] in s for h in s)
-
-    def face_order(self) -> tuple[int, ...]:
-        """Position of each id in the linear order that follows face 1 from
-        root to plant, then face 2, and so on.  Under the canonical id scheme
-        this is the identity."""
-        pos = [0] * self.total_half_edges
-        p = 0
-        for i in range(self.k):
-            for h in range(self.faces.root(i), self.faces.plant(i) + 1):
-                pos[h] = p
-                p += 1
-        return tuple(pos)
 
     def encode(self) -> str:
         """Serialize to the one-line JSON interchange form."""
@@ -401,7 +386,7 @@ def canonicalize(
         raise SizeMismatch("alpha domain differs from the union of the cycles")
     for c in cycles:
         if alpha[c[0]] != c[-1]:
-            raise PlantNotFixed(
+            raise PlantNotPairedWithRoot(
                 f"cycle starting at {c[0]} ends at {c[-1]}, not at its root's partner"
             )
     faces = FaceStructure(tuple(len(c) - 2 for c in cycles))
@@ -422,8 +407,10 @@ def decode(text: str) -> CellularMap:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object")
+    # ``type(x) is int`` rather than isinstance: JSON true/false decode to
+    # bool, a subclass of int.
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
     try:
         k = doc["k"]
@@ -431,15 +418,19 @@ def decode(text: str) -> CellularMap:
         alpha_pairs = doc["alpha"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
-    if not isinstance(interiors, list) or not all(isinstance(s, int) for s in interiors):
+    if not isinstance(interiors, list) or not all(type(s) is int for s in interiors):
         raise ParseError("interiors must be a list of integers")
-    if not isinstance(k, int) or k != len(interiors):
+    if type(k) is not int or k != len(interiors):
         raise ParseError("k must equal the number of interior sizes")
     if not isinstance(alpha_pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
         for p in alpha_pairs
     ):
         raise ParseError("alpha must be a list of id pairs")
     faces = FaceStructure(tuple(interiors))
-    partner = involution_from_pairs([tuple(p) for p in alpha_pairs], faces.total_half_edges)
+    total = faces.total_half_edges
+    # Checked before the partner array is allocated from ``interiors``.
+    if 2 * len(alpha_pairs) != total:
+        raise SizeMismatch(f"alpha has {len(alpha_pairs)} pairs, map has {total} half-edges")
+    partner = involution_from_pairs([tuple(p) for p in alpha_pairs], total)
     return validate(faces, partner)

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from plantedmaps.core import MapError
+from plantedmaps.core import BoundExceeded, MapError
 
 DEFAULT_N_MAX = 32
-
-
-class BoundExceeded(MapError):
-    pass
 
 
 class NonIntegralRecurrence(MapError):
@@ -173,13 +169,13 @@ def double_factorial_odd(n: int) -> int:
 # the census and partition modules lazily.
 
 
-def verify_hz(max_n: int, shards: int = 1) -> list[dict]:
+def verify_hz(max_n: int) -> list[dict]:
     """Per-(g,n) comparison of census one-face counts with the recurrence."""
     from plantedmaps import census
 
     reports = []
     for n in range(max_n + 1):
-        tbl = census.count("unicellular", n, shards)
+        tbl = census.count("unicellular", n)
         for g in range(n // 2 + 1):
             c, r = tbl.get(g, n), hz(g, n)
             reports.append(
@@ -199,14 +195,14 @@ def verify_hz(max_n: int, shards: int = 1) -> list[dict]:
     return reports
 
 
-def verify_bicellular(max_n: int, shards: int = 1) -> list[dict]:
+def verify_bicellular(max_n: int) -> list[dict]:
     """Per-(g,n) comparison of census two-face counts with the subtraction
     formula (this machine-checks the two-face recursion identity)."""
     from plantedmaps import census
 
     reports = []
     for n in range(max_n + 1):
-        tbl = census.count("bicellular", n, shards)
+        tbl = census.count("bicellular", n)
         for g in range(n // 2 + 1):
             c, r = tbl.get(g, n), bicellular(g, n)
             reports.append(

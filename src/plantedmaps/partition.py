@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from plantedmaps.core import CellularMap, MapError, ValidationError
+from plantedmaps.core import BoundExceeded, CellularMap, MapError, ValidationError
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
 
@@ -38,23 +38,17 @@ class WrongScenario(MapError):
     pass
 
 
-class BoundExceeded(MapError):
-    pass
-
-
 @dataclass(frozen=True)
 class V1Profile:
     """Root vertex data: its degree and its second/third half-edges.
 
-    ``third`` is ``None`` when the degree is 2.  Positions coincide with ids
-    under the canonical labelling.
+    ``third`` is ``None`` when the degree is 2.  Under the canonical
+    labelling ids are face-order positions, so the two ids compare directly.
     """
 
     degree: int
     second: int
     third: int | None
-    second_pos: int
-    third_pos: int | None
 
 
 @dataclass(frozen=True)
@@ -104,14 +98,14 @@ def v1_profile(u: CellularMap) -> V1Profile:
     assert u.alpha[second] == 1
     if third is not None:
         assert u.alpha[third] == u.gamma[second]
-    return V1Profile(m, second, third, second, third)
+    return V1Profile(m, second, third)
 
 
 def scenario(u: CellularMap) -> str:
     """Interleaving scenario: "A" when the third half-edge follows the
     second in face order (or the degree is 2), "B" otherwise."""
     prof = v1_profile(u)
-    if prof.degree == 2 or prof.third_pos > prof.second_pos:
+    if prof.degree == 2 or prof.third > prof.second:
         return "A"
     return "B"
 
@@ -126,7 +120,7 @@ def branches(u: CellularMap) -> Branches:
     last = 2 * u.np_edge_count
     if prof.degree == 2:
         return Branches(tuple(range(1, last + 1)), (), ())
-    if prof.third_pos < prof.second_pos:
+    if prof.third < prof.second:
         raise WrongScenario("branches are defined on scenario A maps only")
     h2, h3 = prof.second, prof.third
     return Branches(
@@ -157,7 +151,7 @@ def classify(u: CellularMap) -> PartitionClass:
     """
     prof = v1_profile(u)
     m = prof.degree
-    if m >= 3 and prof.third_pos < prof.second_pos:
+    if m >= 3 and prof.third < prof.second:
         return PartitionClass("B")
     if m == 2:
         # The wrap pair joins the root vertex to a second vertex, so its

@@ -127,7 +127,7 @@ def test_criterion_5_exhaustive_roundtrips():
 
 
 def test_criterion_6_structural_properties():
-    desc = "closed-branch counts, contraction legality, plant fixing, shards"
+    desc = "closed-branch counts, contraction legality, plant fixing"
     with criterion(6, desc):
         for n in range(6):
             for m in unicellular_stream(n):
@@ -149,7 +149,3 @@ def test_criterion_6_structural_properties():
                 for p in m.plants:
                     assert m.sigma[p] == p
                 assert len(m.plants) == m.k
-        for shards in (2, 3, 5):
-            assert count("unicellular", 5, shards).entries == count("unicellular", 5).entries
-            assert count("bicellular", 3, shards).entries == count("bicellular", 3).entries
-            assert count("tricellular", 3, shards).entries == count("tricellular", 3).entries

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from conftest import catalan, double_factorial_odd, mk, uni
@@ -117,18 +119,22 @@ def test_count_matches_stream_tally():
                 assert tbl.get(g, n) == tally.get(g, 0), (kind, g, n)
 
 
-@pytest.mark.parametrize("shards", [2, 3, 5])
-def test_shard_count_independence(shards):
-    for kind, n in [("unicellular", 5), ("bicellular", 3), ("tricellular", 3)]:
-        assert count(kind, n, shards).entries == count(kind, n, 1).entries
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_streams_partition_the_census(shards):
-    whole = set(unicellular_stream(4))
-    pieces = [set(unicellular_stream(4, shard=s, shards=shards)) for s in range(shards)]
-    assert set.union(*pieces) == whole
-    assert sum(len(p) for p in pieces) == len(whole)
+@pytest.mark.parametrize(
+    "stream, n_max",
+    [
+        (unicellular_stream, 5),
+        (partial(bicellular_stream, connected_only=False), 4),
+        (partial(tricellular_stream, connected_only=False), 3),
+    ],
+    ids=["uni", "bi", "tri"],
+)
+def test_streams_are_lexicographic_per_layout(stream, n_max):
+    for n in range(n_max + 1):
+        last = {}
+        for m in stream(n):
+            layout = m.faces.interior_sizes
+            assert layout not in last or last[layout] < m.alpha, (n, m)
+            last[layout] = m.alpha
 
 
 def test_bound_exceeded():

@@ -1,6 +1,18 @@
 import json
+import time
+
+import pytest
 
 from plantedmaps.cli import main
+
+SHARD_COMMANDS = [
+    ("count", "--kind", "uni", "--edges", "5"),
+    ("count", "--kind", "bi", "--edges", "3"),
+    ("count", "--kind", "tri", "--edges", "3"),
+    ("export", "--kind", "uni", "--max-edges", "3"),
+    ("verify", "--relation", "hz", "--max-n", "3"),
+    ("verify", "--relation", "bicellular", "--max-n", "3"),
+]
 
 
 def run(capsys, *argv):
@@ -129,12 +141,33 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_shard_count_independence(capsys, shards):
+    for argv in SHARD_COMMANDS:
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--shards", str(shards))
+        assert code == 0 and out == plain, argv
+
+
 def test_shards_flag_does_not_change_output(capsys):
-    _, out1, _ = run(capsys, "count", "--kind", "uni", "--edges", "5")
-    _, out2, _ = run(capsys, "count", "--kind", "uni", "--edges", "5", "--shards", "3")
-    assert out1 == out2
+    argv = ("count", "--kind", "uni", "--edges", "3")
+    _, plain, _ = run(capsys, *argv)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv, "--shards", "2000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == plain
 
 
 def test_invalid_shards_exit_2(capsys):
-    code, _, _ = run(capsys, "count", "--kind", "uni", "--edges", "2", "--shards", "0")
-    assert code == 2
+    for command in ("count", "export", "verify"):
+        argv = next(a for a in SHARD_COMMANDS if a[0] == command)
+        code, out, err = run(capsys, *argv, "--shards", "0")
+        assert code == 2 and out == "" and "error" in err, command
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "count", "--kind", "uni", "--edges", "2", "--output", str(path)
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")

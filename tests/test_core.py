@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -9,7 +10,6 @@ from plantedmaps.core import (
     HasFixedPoint,
     NotInvolution,
     ParseError,
-    PlantNotFixed,
     PlantNotPairedWithRoot,
     SizeMismatch,
     ValidationError,
@@ -63,18 +63,18 @@ def test_sigma_fixes_both_ids_of_trivial_map():
 
 def test_sigma_single_nonplant_vertex():
     m = uni(2, (1, 3), (2, 4))
-    assert m.vertices() == ((0, 3, 2, 1, 4), (5,))
+    assert m.vertex_cycles == ((0, 3, 2, 1, 4), (5,))
     m = uni(4, (1, 5), (2, 6), (3, 7), (4, 8))
-    assert m.vertices()[0] == (0, 5, 2, 7, 4, 1, 6, 3, 8)
+    assert m.vertex_cycles[0] == (0, 5, 2, 7, 4, 1, 6, 3, 8)
 
 
 def test_vertices_of_trivial_map():
-    assert EPS.vertices() == ((0,), (1,))
+    assert EPS.vertex_cycles == ((0,), (1,))
 
 
 def test_vertices_planar_two_chords():
     m = uni(2, (1, 2), (3, 4))
-    assert m.vertices() == ((0, 2, 4), (1,), (3,), (5,))
+    assert m.vertex_cycles == ((0, 2, 4), (1,), (3,), (5,))
 
 
 @pytest.mark.parametrize(
@@ -113,27 +113,6 @@ def test_is_closed():
     assert not m.is_closed({1})
     assert m.is_closed(set())
     assert m.is_closed({2, 3})
-
-
-def test_face_order_is_identity_on_canonical_ids():
-    m = uni(2, (1, 3), (2, 4))
-    assert m.face_order() == (0, 1, 2, 3, 4, 5)
-
-
-def test_face_order_respects_face_blocks():
-    m = mk((1, 1), (1, 2))
-    pos = m.face_order()
-    face1 = [pos[h] for h in range(0, 3)]
-    face2 = [pos[h] for h in range(3, 6)]
-    assert max(face1) < min(face2)
-
-
-def test_face_order_successor():
-    m = mk((2, 2), (1, 3), (2, 4))
-    pos = m.face_order()
-    for h in range(m.total_half_edges):
-        if h not in m.plants:
-            assert pos[m.gamma[h]] == pos[h] + 1
 
 
 def test_canonicalize_identity_and_idempotence():
@@ -185,7 +164,7 @@ def test_canonicalize_reversed_cycle_order_changes_the_map():
 def test_canonicalize_rejects_unfixed_plant():
     m = uni(1, (1, 2))
     alpha = {h: m.alpha[h] for h in range(4)}
-    with pytest.raises(PlantNotFixed):
+    with pytest.raises(PlantNotPairedWithRoot):
         canonicalize(1, ((1, 2, 3, 0),), alpha)
 
 
@@ -229,6 +208,28 @@ def test_decode_errors():
         decode('{"k":1,"interiors":[2],"alpha":[[0,1],[2,3]]}')
 
 
+def test_decode_rejects_json_booleans():
+    for doc in (
+        '{"k": true, "interiors": [0], "alpha": [[0, true]]}',
+        '{"k": true, "interiors": [0], "alpha": [[0, 1]]}',
+        '{"k": 1, "interiors": [false], "alpha": [[0, 1]]}',
+        '{"k": 1, "interiors": [0], "alpha": [[0, true]]}',
+        '{"schema_version": true, "k": 1, "interiors": [0], "alpha": [[0, 1]]}',
+    ):
+        with pytest.raises(ParseError):
+            decode(doc)
+
+
+def test_decode_checks_sizes_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(SizeMismatch) as exc:
+        decode('{"k":1,"interiors":[40000000],"alpha":[]}')
+    assert time.perf_counter() - start < 1.0
+    assert len(str(exc.value)) < 80
+    with pytest.raises(ValidationError):
+        decode('{"k":2,"interiors":[-2,4],"alpha":[[0,1],[2,3]]}')
+
+
 def test_kind_tags():
     assert EPS.kind() == "unicellular"
     assert mk((1, 1, 2), (1, 3), (2, 4)).kind() == "tricellular"
@@ -246,7 +247,7 @@ def test_face_structure_rejects_bad_shapes():
 def test_plants_are_singleton_sigma_cycles():
     for n in range(4):
         for m in unicellular_stream(n):
-            cycles = m.vertices()
+            cycles = m.vertex_cycles
             for p in m.plants:
                 assert (p,) in cycles
 

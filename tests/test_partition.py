@@ -27,7 +27,7 @@ def test_v1_profile_examples():
     p = v1_profile(uni(2, (1, 3), (2, 4)))
     assert (p.degree, p.second, p.third) == (5, 3, 2)
     p = v1_profile(II_MAP)
-    assert (p.second, p.second_pos, p.third, p.third_pos) == (4, 4, 7, 7)
+    assert (p.second, p.third) == (4, 7)
     p = v1_profile(uni(1, (1, 2)))
     assert (p.degree, p.second, p.third) == (2, 2, None)
 
