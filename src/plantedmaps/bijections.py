@@ -37,6 +37,7 @@ from plantedmaps.partition import (
     WrongScenario,
     branches,
     classify,
+    domains,
     v1_profile,
 )
 
@@ -137,10 +138,6 @@ def glue(x: CellularMap) -> CellularMap:
     prof = v1_profile(out)
     assert prof.degree >= 3 and prof.third > prof.second
     return out
-
-
-def _relabel_marks(relabel: dict[int, int], marks: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(relabel[m] for m in marks)
 
 
 def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[int, int]]:
@@ -320,26 +317,23 @@ def insert_pair(u: CellularMap, a: int, b: int) -> CellularMap:
     return out
 
 
+#: Domain of each class bijection eta_i, as leaves and pendant sub-domains
+#: of :func:`partition.domains`.
+ETA_DOMAINS = {
+    1: ("U1",),
+    2: ("U2",),
+    3: ("G23", "U2_first"),
+    4: ("G24", "U2_second", "G23_second"),
+    5: ("U2_first",),
+    6: ("U2_second",),
+    7: ("G23_second",),
+}
+
+
 def _eta_domain(i: int, pc: PartitionClass) -> bool:
-    if i == 1:
-        return pc.leaf == "U1"
-    if i == 2:
-        return pc.leaf == "U2"
-    if i == 3:
-        return pc.leaf == "G23" or (pc.leaf == "U2" and pc.first_pendant)
-    if i == 4:
-        return (
-            pc.leaf == "G24"
-            or (pc.leaf == "U2" and pc.second_pendant)
-            or (pc.leaf == "G23" and pc.second_pendant)
-        )
-    if i == 5:
-        return pc.leaf == "U2" and pc.first_pendant
-    if i == 6:
-        return pc.leaf == "U2" and pc.second_pendant
-    if i == 7:
-        return pc.leaf == "G23" and pc.second_pendant
-    raise ValueError(f"eta index must be 1..7, got {i}")
+    if i not in ETA_DOMAINS:
+        raise ValueError(f"eta index must be 1..7, got {i}")
+    return any(dom in ETA_DOMAINS[i] for dom in domains(pc))
 
 
 def eta(i: int, u: CellularMap) -> CellularMap:

@@ -234,7 +234,7 @@ def count(kind: str, n: int) -> CountTable:
 
 def count_range(kind: str, n_max: int) -> CountTable:
     """Merged census table for every edge count up to ``n_max``."""
-    kind = normalize_kind(kind)
+    kind = check_bound(kind, n_max)
     table = CountTable(kind)
     for n in range(n_max + 1):
         table.merge(count(kind, n))

@@ -216,7 +216,14 @@ class CellularMap:
     @cached_property
     def is_connected(self) -> bool:
         """Whether the union closure of ``h ~ alpha(h)`` and ``h ~ sigma(h)``
-        has a single class."""
+        has a single class.
+
+        A one-face map needs no search: its face permutation
+        ``gamma = alpha o sigma`` is a single cycle through every half-edge,
+        so ``<alpha, sigma>`` is already transitive.
+        """
+        if self.k == 1:
+            return True
         total = self.total_half_edges
         alpha, sigma = self.alpha, self.sigma
         seen = bytearray(total)

@@ -173,6 +173,7 @@ def verify_hz(max_n: int) -> list[dict]:
     """Per-(g,n) comparison of census one-face counts with the recurrence."""
     from plantedmaps import census
 
+    census.check_bound("unicellular", max_n)
     reports = []
     for n in range(max_n + 1):
         tbl = census.count("unicellular", n)
@@ -200,6 +201,7 @@ def verify_bicellular(max_n: int) -> list[dict]:
     formula (this machine-checks the two-face recursion identity)."""
     from plantedmaps import census
 
+    census.check_bound("bicellular", max_n)
     reports = []
     for n in range(max_n + 1):
         tbl = census.count("bicellular", n)
@@ -317,6 +319,8 @@ def verify_theorem(g: int, n: int) -> dict:
 def verify_theorem_range(max_n: int) -> list[dict]:
     """Theorem reports for every (g, n) with n <= max_n and every genus with
     a potentially nonempty side."""
+    if max_n < 0:
+        raise BoundExceeded("max_n must be non-negative")
     reports = []
     for n in range(max_n + 1):
         for g in range((n + 2) // 2 + 1):

@@ -29,6 +29,9 @@ from plantedmaps.core import BoundExceeded, CellularMap, MapError, ValidationErr
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
 
+#: Sub-domains cut out of U2 and G23 by the pendant flags.
+PENDANT_DOMAINS = ("U2_first", "U2_second", "G23_second")
+
 
 class TrivialMap(MapError):
     pass
@@ -72,6 +75,20 @@ class PartitionClass:
     leaf: str
     first_pendant: bool = False
     second_pendant: bool = False
+
+
+def domains(pc: PartitionClass) -> tuple[str, ...]:
+    """The leaf of ``pc`` followed by each of :data:`PENDANT_DOMAINS` that
+    its flags put it in."""
+    out = [pc.leaf]
+    if pc.leaf == "U2":
+        if pc.first_pendant:
+            out.append("U2_first")
+        if pc.second_pendant:
+            out.append("U2_second")
+    elif pc.leaf == "G23" and pc.second_pendant:
+        out.append("G23_second")
+    return tuple(out)
 
 
 def _require_nontrivial_unicellular(u: CellularMap) -> None:
@@ -186,26 +203,19 @@ def contraction_edges(u: CellularMap) -> tuple[tuple[int, int], ...]:
     rely on: the wrap pair on U1, the tail pair on U2, and the pendant pairs
     recorded by the flags on U2 and G23 or forced on G24.
     """
-    pc = classify(u)
+    doms = set(domains(classify(u)))
     last = 2 * u.np_edge_count
     edges: list[tuple[int, int]] = []
-    if pc.leaf == "U1":
+    if "U1" in doms:
         edges.append((1, last))
-    elif pc.leaf == "U2":
+    if doms & {"U2", "G23", "G24"}:
         h2 = v1_profile(u).second
-        edges.append((h2 + 1, last))
-        if pc.first_pendant:
+        if "U2" in doms:
+            edges.append((h2 + 1, last))
+        if doms & {"U2_first", "G23"}:
             edges.append((1, 2))
-        if pc.second_pendant:
+        if doms & {"U2_second", "G23_second", "G24"}:
             edges.append((h2 + 1, h2 + 2))
-    elif pc.leaf == "G23":
-        edges.append((1, 2))
-        if pc.second_pendant:
-            h2 = v1_profile(u).second
-            edges.append((h2 + 1, h2 + 2))
-    elif pc.leaf == "G24":
-        h2 = v1_profile(u).second
-        edges.append((h2 + 1, h2 + 2))
     return tuple(edges)
 
 
@@ -233,26 +243,18 @@ class PartitionHistogram:
 
 
 @lru_cache(maxsize=16)
-def _census_class_counts(total_np: int) -> dict:
+def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     """One classification pass over every one-face map with ``total_np``
-    non-plant edges, bucketed by genus."""
+    non-plant edges, counted per ``(genus, domain)`` for the leaves and
+    :data:`PENDANT_DOMAINS`."""
     from plantedmaps.census import unicellular_stream
 
-    leaves: dict[tuple[int, str], int] = {}
-    flags: dict[tuple[int, str], int] = {}
+    counts: dict[tuple[int, str], int] = {}
     for mp in unicellular_stream(total_np):
         g = mp.genus()
-        pc = classify(mp)
-        key = (g, pc.leaf)
-        leaves[key] = leaves.get(key, 0) + 1
-        if pc.leaf == "U2":
-            if pc.first_pendant:
-                flags[(g, "U2_first")] = flags.get((g, "U2_first"), 0) + 1
-            if pc.second_pendant:
-                flags[(g, "U2_second")] = flags.get((g, "U2_second"), 0) + 1
-        elif pc.leaf == "G23" and pc.second_pendant:
-            flags[(g, "G23_second")] = flags.get((g, "G23_second"), 0) + 1
-    return {"leaves": leaves, "flags": flags}
+        for dom in domains(classify(mp)):
+            counts[g, dom] = counts.get((g, dom), 0) + 1
+    return counts
 
 
 def histogram(g: int, n: int) -> PartitionHistogram:
@@ -268,14 +270,13 @@ def histogram(g: int, n: int) -> PartitionHistogram:
         raise BoundExceeded("g and n must be non-negative")
     if n + 2 > N_MAX["unicellular"]:
         raise BoundExceeded(f"histogram bounded at n <= {N_MAX['unicellular'] - 2}")
-    data = _census_class_counts(n + 2)
+    counts = _census_class_counts(n + 2)
     genus = g + 2
-    classes = {leaf: data["leaves"].get((genus, leaf), 0) for leaf in LEAVES}
     return PartitionHistogram(
         g=g,
         n=n,
-        classes=classes,
-        u2_first_pendant=data["flags"].get((genus, "U2_first"), 0),
-        u2_second_pendant=data["flags"].get((genus, "U2_second"), 0),
-        g23_second_pendant=data["flags"].get((genus, "G23_second"), 0),
+        classes={leaf: counts.get((genus, leaf), 0) for leaf in LEAVES},
+        u2_first_pendant=counts.get((genus, "U2_first"), 0),
+        u2_second_pendant=counts.get((genus, "U2_second"), 0),
+        g23_second_pendant=counts.get((genus, "G23_second"), 0),
     )

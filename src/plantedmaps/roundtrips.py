@@ -1,20 +1,23 @@
-"""Exhaustive round-trip and image checks for every surgery.
+"""Exhaustive two-sided checks for every surgery bijection.
 
-Each driver enumerates the full domain of one bijection at a theorem index
-(g, n), composes it with its inverse in both directions, re-derives the
-codomain by independent enumeration, and reports domain size, image size and
-any failures.  A bijection passes when both compositions are identities,
-the image has no duplicates, and it equals the enumerated codomain exactly.
+At a theorem index (g, n) each name in :data:`BIJECTION_NAMES` stands for
+one or more entries (domain, forward, inverse, codomain), with domain and
+codomain enumerated independently of the surgery; ``split5`` has one entry
+per F5 class.  A bijection passes when, for every entry,
+``inverse(forward(x)) == x`` on the whole domain, ``forward(inverse(y)) == y``
+on the whole codomain, and the image has no duplicates and equals the
+codomain exactly.  A surgery that raises on its own domain or codomain fails
+the check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from plantedmaps import bijections as bij
 from plantedmaps import census, partition
-from plantedmaps.core import CellularMap
+from plantedmaps.core import BoundExceeded, CellularMap, MapError
 
 BIJECTION_NAMES = (
     "cut",
@@ -65,198 +68,80 @@ def three_face_maps(aggregate_genus: int, n: int) -> tuple[CellularMap, ...]:
 
 @lru_cache(maxsize=None)
 def maps_by_class(g: int, n: int) -> dict[str, tuple[CellularMap, ...]]:
-    """Theorem-indexed census of one-face maps bucketed by partition leaf,
-    with the pendant-flag sub-domains, plus "ALL"."""
-    buckets: dict[str, list[CellularMap]] = {leaf: [] for leaf in partition.LEAVES}
-    for key in ("U2_first", "U2_second", "G23_second", "ALL"):
-        buckets[key] = []
+    """Theorem-indexed census of one-face maps bucketed by partition leaf
+    and pendant sub-domain, plus "ALL"."""
+    buckets: dict[str, list[CellularMap]] = {
+        key: [] for key in (*partition.LEAVES, *partition.PENDANT_DOMAINS, "ALL")
+    }
     for u in uni_maps(g + 2, n + 2):
-        pc = partition.classify(u)
-        buckets[pc.leaf].append(u)
+        for key in partition.domains(partition.classify(u)):
+            buckets[key].append(u)
         buckets["ALL"].append(u)
-        if pc.leaf == "U2":
-            if pc.first_pendant:
-                buckets["U2_first"].append(u)
-            if pc.second_pendant:
-                buckets["U2_second"].append(u)
-        elif pc.leaf == "G23" and pc.second_pendant:
-            buckets["G23_second"].append(u)
     return {k: tuple(v) for k, v in buckets.items()}
 
 
-def _report(name: str, g: int, n: int, domain_size: int, image, failures: list[str]) -> dict:
-    image_list = list(image)
-    if len(set(image_list)) != len(image_list):
-        failures.append("image contains duplicates (injectivity broken)")
-    return {
-        "bijection": name,
-        "g": g,
-        "n": n,
-        "domain_size": domain_size,
-        "image_size": len(set(image_list)),
-        "failures": failures,
-        "ok": not failures,
-    }
+def _show(x) -> str:
+    """A domain or codomain element as it appears in a failure message."""
+    if isinstance(x, CellularMap):
+        return x.encode()
+    if isinstance(x, tuple):
+        return "(" + ", ".join(_show(e) for e in x) + ")"
+    return str(x)
 
 
-def _check_image_equals(image, codomain, failures: list[str], what: str) -> None:
-    image_set, codomain_set = set(image), set(codomain)
-    if image_set != codomain_set:
-        missing = len(codomain_set - image_set)
-        extra = len(image_set - codomain_set)
-        failures.append(f"{what}: image misses {missing} and adds {extra} elements")
+def _check(domain, forward, inverse, codomain, failures: list[str], what: str) -> tuple[int, int]:
+    """Check that ``forward`` maps ``domain`` bijectively onto ``codomain``
+    with two-sided inverse ``inverse``; append a message to ``failures`` for
+    each violation and return the domain and image sizes."""
+    size, image, repeats = 0, set(), 0
+    for x in domain:
+        size += 1
+        try:
+            y = forward(x)
+            repeats += y in image
+            image.add(y)
+            if inverse(y) != x:
+                failures.append(f"{what}: inverse(forward(x)) != x for {_show(x)}")
+        except MapError as exc:
+            failures.append(f"{what}: {type(exc).__name__} on {_show(x)}: {exc}")
+    targets = set()
+    for y in codomain:
+        targets.add(y)
+        try:
+            if forward(inverse(y)) != y:
+                failures.append(f"{what}: forward(inverse(y)) != y for {_show(y)}")
+        except MapError as exc:
+            failures.append(f"{what}: {type(exc).__name__} on {_show(y)}: {exc}")
+    if repeats:
+        failures.append(f"{what}: image contains duplicates (injectivity broken)")
+    if image != targets:
+        failures.append(
+            f"{what}: image misses {len(targets - image)} "
+            f"and adds {len(image - targets)} elements"
+        )
+    return size, len(image)
 
 
-def roundtrip_cut(g: int, n: int) -> dict:
-    """glue(cut(u)) = u on scenario-A maps of root degree >= 3; image equals
-    the three-face maps of aggregate genus g; cut(glue(x)) = x there."""
-    failures: list[str] = []
-    by_class = maps_by_class(g, n)
-    domain = [
-        u
-        for leaf in ("U2", "G23", "G24", "F51", "F52", "F53", "F54", "II")
-        for u in by_class[leaf]
+def _contractible_edges(u: CellularMap) -> list[tuple[CellularMap, tuple[int, int]]]:
+    vo = u.vertex_of
+    return [
+        (u, (a, u.alpha[a]))
+        for a in range(1, 2 * u.np_edge_count + 1)
+        if a < u.alpha[a] and vo[a] != vo[u.alpha[a]]
     ]
-    image = []
-    for u in domain:
-        x = bij.cut(u).map
-        image.append(x)
-        if bij.glue(x) != u:
-            failures.append(f"glue(cut(u)) != u for {u.encode()}")
-    codomain = three_face_maps(g, n)
-    _check_image_equals(image, codomain, failures, "cut image vs three-face maps")
-    for x in codomain:
-        if bij.cut(bij.glue(x)).map != x:
-            failures.append(f"cut(glue(x)) != x for {x.encode()}")
-    return _report("cut", g, n, len(domain), image, failures)
 
 
-def _same_vertex_mark_pairs(u: CellularMap) -> list[tuple[int, int]]:
+def _mark_pairs(u: CellularMap, same_vertex: bool) -> list[tuple[CellularMap, tuple[int, int]]]:
+    """``u`` with every mark pair ``x <= y`` among the root and interior ids,
+    restricted to pairs in one vertex when ``same_vertex``."""
     last = 2 * u.np_edge_count
     vo = u.vertex_of
     return [
-        (x, y)
-        for x in range(0, last + 1)
+        (u, (x, y))
+        for x in range(last + 1)
         for y in range(x, last + 1)
-        if vo[x] == vo[y]
+        if not same_vertex or vo[x] == vo[y]
     ]
-
-
-def roundtrip_contract(g: int, n: int) -> dict:
-    """insert_edge(contract(u, e)) = u over every contractible edge of every
-    map, and contract(insert_edge(u', x, y)) = (u', (x, y)) over every
-    one-vertex mark pair of every map one edge down."""
-    failures: list[str] = []
-    domain_size = 0
-    image = []
-    for u in maps_by_class(g, n)["ALL"]:
-        vo = u.vertex_of
-        for a in range(1, 2 * u.np_edge_count + 1):
-            b = u.alpha[a]
-            if b < a or vo[a] == vo[b]:
-                continue
-            domain_size += 1
-            u2, (x, y) = bij.contract(u, (a, b))
-            image.append((u2, x, y))
-            if bij.insert_edge(u2, x, y) != u:
-                failures.append(f"insert(contract) != id for {u.encode()} edge ({a},{b})")
-    down = uni_maps(g + 2, n + 1)
-    inverse_domain = 0
-    for u2 in down:
-        for x, y in _same_vertex_mark_pairs(u2):
-            inverse_domain += 1
-            v = bij.insert_edge(u2, x, y)
-            back, marks = bij.contract(v, bij.inserted_edge_ids(x, y))
-            if back != u2 or marks != (x, y):
-                failures.append(
-                    f"contract(insert) != id for {u2.encode()} marks ({x},{y})"
-                )
-    _check_image_equals(
-        image,
-        [(u2, x, y) for u2 in down for x, y in _same_vertex_mark_pairs(u2)],
-        failures,
-        "contract image vs marked maps",
-    )
-    return _report("contract", g, n, domain_size, image, failures)
-
-
-def roundtrip_delete(g: int, n: int) -> dict:
-    """insert_pair(delete_pair(u)) = u on class B; the image hits every
-    (map, mark pair) with marks in face order, (n+1)(2n+1) per map."""
-    failures: list[str] = []
-    domain = maps_by_class(g, n)["B"]
-    image = []
-    for u in domain:
-        u2, (a, b) = bij.delete_pair(u)
-        image.append((u2, a, b))
-        if bij.insert_pair(u2, a, b) != u:
-            failures.append(f"insert_pair(delete_pair) != id for {u.encode()}")
-    down = uni_maps(g + 1, n)
-    codomain = []
-    for u2 in down:
-        last = 2 * u2.np_edge_count
-        pairs = [(a, b) for a in range(0, last + 1) for b in range(a, last + 1)]
-        expected = (n + 1) * (2 * n + 1)
-        if len(pairs) != expected:
-            failures.append(f"mark pair count {len(pairs)} != {expected}")
-        for a, b in pairs:
-            codomain.append((u2, a, b))
-            u3, marks = bij.delete_pair(bij.insert_pair(u2, a, b))
-            if u3 != u2 or marks != (a, b):
-                failures.append(
-                    f"delete(insert) != id for {u2.encode()} marks ({a},{b})"
-                )
-    _check_image_equals(image, codomain, failures, "delete image vs marked maps")
-    return _report("delete", g, n, len(domain), image, failures)
-
-
-_ETA_DOMAIN_KEYS = {
-    1: ("U1",),
-    2: ("U2",),
-    3: ("G23", "U2_first"),
-    4: ("G24", "U2_second", "G23_second"),
-    5: ("U2_first",),
-    6: ("U2_second",),
-    7: ("G23_second",),
-}
-
-
-def roundtrip_eta(i: int, g: int, n: int) -> dict:
-    """eta_i and its inverse compose to the identity both ways; the image is
-    all of U(g+2, n+1) for i <= 4 and all of U(g+2, n) for i >= 5."""
-    failures: list[str] = []
-    by_class = maps_by_class(g, n)
-    domain = [u for key in _ETA_DOMAIN_KEYS[i] for u in by_class[key]]
-    image = []
-    for u in domain:
-        u2 = bij.eta(i, u)
-        image.append(u2)
-        if bij.eta_inv(i, u2) != u:
-            failures.append(f"eta_inv(eta) != id for eta{i} on {u.encode()}")
-    codomain = uni_maps(g + 2, n + 1 if i <= 4 else n)
-    _check_image_equals(image, codomain, failures, f"eta{i} image")
-    for u2 in codomain:
-        if bij.eta(i, bij.eta_inv(i, u2)) != u2:
-            failures.append(f"eta(eta_inv) != id for eta{i} on {u2.encode()}")
-    return _report(f"eta{i}", g, n, len(domain), image, failures)
-
-
-def roundtrip_theta(g: int, n: int) -> dict:
-    """theta maps class II onto the connected three-face maps at (g, n)."""
-    failures: list[str] = []
-    domain = maps_by_class(g, n)["II"]
-    image = []
-    for u in domain:
-        t = bij.theta(u)
-        image.append(t)
-        if bij.theta_inv(t) != u:
-            failures.append(f"theta_inv(theta) != id for {u.encode()}")
-    codomain = tri_maps(g, n)
-    _check_image_equals(image, codomain, failures, "theta image vs three-face census")
-    for t in codomain:
-        if bij.theta(bij.theta_inv(t)) != t:
-            failures.append(f"theta(theta_inv) != id for {t.encode()}")
-    return _report("theta", g, n, len(domain), image, failures)
 
 
 def _split_codomain_single(g: int, n: int):
@@ -293,47 +178,71 @@ def _split_codomain_triple(g: int, n: int):
     return out
 
 
-def roundtrip_split5(g: int, n: int) -> dict:
-    """split5 maps each F5 class onto its piece products and join5 inverts
-    it, for the three single-closed-branch classes and the all-closed one."""
-    failures: list[str] = []
+def _insert_edge(marked: tuple[CellularMap, tuple[int, int]]):
+    u, marks = marked
+    return bij.insert_edge(u, *marks), bij.inserted_edge_ids(*marks)
+
+
+def _insert_pair(marked: tuple[CellularMap, tuple[int, int]]) -> CellularMap:
+    u, marks = marked
+    return bij.insert_pair(u, *marks)
+
+
+def _checks(name: str, g: int, n: int) -> dict[str, tuple]:
+    """Entries (domain, forward, inverse, codomain) of one bijection name,
+    keyed by the label its failures carry.  Surgeries are looked up on the
+    :mod:`bijections` module at call time."""
+    if name not in BIJECTION_NAMES:
+        raise ValueError(f"unknown bijection {name!r}; choose from {BIJECTION_NAMES}")
     by_class = maps_by_class(g, n)
-    domain_size = 0
-    all_image = []
-    for i in (1, 2, 3, 4):
-        domain = by_class[f"F5{i}"]
-        domain_size += len(domain)
-        image = []
-        for u in domain:
-            pieces = bij.split5(i, u)
-            image.append(pieces)
-            if bij.join5(i, pieces) != u:
-                failures.append(f"join5(split5) != id for F5{i} map {u.encode()}")
-        codomain = (
-            _split_codomain_single(g, n) if i <= 3 else _split_codomain_triple(g, n)
+    if name == "cut":
+        domain = (
+            u
+            for leaf in ("U2", "G23", "G24", "F51", "F52", "F53", "F54", "II")
+            for u in by_class[leaf]
         )
-        _check_image_equals(image, codomain, failures, f"split5({i}) image")
-        for pieces in codomain:
-            if bij.split5(i, bij.join5(i, pieces)) != tuple(pieces):
-                failures.append(f"split5(join5) != id for F5{i} pieces")
-        all_image.extend((i,) + tuple(p for p in pieces) for pieces in image)
-    return _report("split5", g, n, domain_size, all_image, failures)
+        return {name: (domain, lambda u: bij.cut(u).map, bij.glue, three_face_maps(g, n))}
+    if name == "contract":
+        domain = (e for u in by_class["ALL"] for e in _contractible_edges(u))
+        codomain = (m for u in uni_maps(g + 2, n + 1) for m in _mark_pairs(u, True))
+        return {name: (domain, lambda e: bij.contract(*e), _insert_edge, codomain)}
+    if name in ("delete", "psi"):
+        codomain = (m for u in uni_maps(g + 1, n) for m in _mark_pairs(u, False))
+        return {name: (by_class["B"], bij.delete_pair, _insert_pair, codomain)}
+    if name.startswith("eta"):
+        i = int(name[3])
+        domain = (u for key in bij.ETA_DOMAINS[i] for u in by_class[key])
+        codomain = uni_maps(g + 2, n + 1 if i <= 4 else n)
+        return {name: (domain, partial(bij.eta, i), partial(bij.eta_inv, i), codomain)}
+    if name == "theta":
+        return {name: (by_class["II"], bij.theta, bij.theta_inv, tri_maps(g, n))}
+    return {
+        f"split5({i})": (
+            by_class[f"F5{i}"],
+            partial(bij.split5, i),
+            partial(bij.join5, i),
+            _split_codomain_single(g, n) if i <= 3 else _split_codomain_triple(g, n),
+        )
+        for i in (1, 2, 3, 4)
+    }
 
 
 def roundtrip(name: str, g: int, n: int) -> dict:
-    """Dispatch one bijection check at theorem index (g, n)."""
-    if name == "cut":
-        return roundtrip_cut(g, n)
-    if name == "contract":
-        return roundtrip_contract(g, n)
-    if name in ("delete", "psi"):
-        rep = roundtrip_delete(g, n)
-        rep["bijection"] = name
-        return rep
-    if name.startswith("eta") and name[3:] in "1234567" and len(name) == 4:
-        return roundtrip_eta(int(name[3]), g, n)
-    if name == "theta":
-        return roundtrip_theta(g, n)
-    if name == "split5":
-        return roundtrip_split5(g, n)
-    raise ValueError(f"unknown bijection {name!r}; choose from {BIJECTION_NAMES}")
+    """Check one bijection exhaustively at theorem index (g, n)."""
+    if g < 0 or n < 0:
+        raise BoundExceeded("g and n must be non-negative")
+    failures: list[str] = []
+    domain_size = image_size = 0
+    for what, (domain, forward, inverse, codomain) in _checks(name, g, n).items():
+        size, image = _check(domain, forward, inverse, codomain, failures, what)
+        domain_size += size
+        image_size += image
+    return {
+        "bijection": name,
+        "g": g,
+        "n": n,
+        "domain_size": domain_size,
+        "image_size": image_size,
+        "failures": failures,
+        "ok": not failures,
+    }

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from plantedmaps import bijections
 from plantedmaps.cli import main
+from plantedmaps.core import from_np_pairs
 
 SHARD_COMMANDS = [
     ("count", "--kind", "uni", "--edges", "5"),
@@ -170,4 +172,40 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     code, out, err = run(
         capsys, "count", "--kind", "uni", "--edges", "2", "--output", str(path)
     )
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bijection, attr",
+    [
+        ("cut", "glue"),
+        ("contract", "insert_edge"),
+        ("psi", "insert_pair"),
+        ("eta1", "eta_inv"),
+        ("theta", "theta_inv"),
+        ("split5", "join5"),
+    ],
+)
+def test_wrong_inverse_is_a_failed_check(capsys, monkeypatch, bijection, attr):
+    wrong = from_np_pairs((8,), [(1, 5), (2, 6), (3, 7), (4, 8)])
+    monkeypatch.setattr(bijections, attr, lambda *a: wrong)
+    code, out, _ = run(capsys, "roundtrip", "--bijection", bijection, "--g", "0", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--relation", "hz", "--max-n", "-1"),
+        ("verify", "--relation", "bicellular", "--max-n", "-1"),
+        ("verify", "--relation", "theorem", "--max-n", "-1"),
+        ("export", "--kind", "uni", "--max-edges", "-1"),
+        ("roundtrip", "--bijection", "eta1", "--g", "-1", "--n", "2"),
+        ("roundtrip", "--bijection", "cut", "--g", "0", "--n", "-1"),
+    ],
+    ids=["hz", "bicellular", "theorem", "export", "roundtrip-g", "roundtrip-n"],
+)
+def test_vacuous_run_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")

@@ -4,13 +4,16 @@ from conftest import uni
 from plantedmaps import oracle
 from plantedmaps.census import unicellular_stream
 from plantedmaps.partition import (
+    PENDANT_DOMAINS,
     BoundExceeded,
+    PartitionClass,
     TrivialMap,
     WrongScenario,
     branches,
     classify,
     closed_branches,
     contraction_vertices_distinct,
+    domains,
     histogram,
     scenario,
     v1_profile,
@@ -171,3 +174,17 @@ def test_degenerate_double_pendant_is_u2_with_both_flags():
     pc = classify(m)
     assert pc.leaf == "U2" and pc.first_pendant and pc.second_pendant
     assert m.genus() == 0
+
+
+def test_domains_name_the_leaf_then_the_pendant_sub_domains():
+    assert domains(PartitionClass("U2", True, True)) == ("U2", "U2_first", "U2_second")
+    assert domains(PartitionClass("U2", False, True)) == ("U2", "U2_second")
+    assert domains(PartitionClass("G23", True, True)) == ("G23", "G23_second")
+    assert domains(PartitionClass("G23", True, False)) == ("G23",)
+    assert domains(PartitionClass("G24", second_pendant=True)) == ("G24",)
+    for n in range(1, 6):
+        for m in unicellular_stream(n):
+            pc = classify(m)
+            leaf, *subs = domains(pc)
+            assert leaf == pc.leaf
+            assert all(s in PENDANT_DOMAINS and s.startswith(leaf) for s in subs)
