@@ -16,7 +16,9 @@ Five primitives cover everything:
 The class bijections eta1..eta7 are contractions at forced positions, the
 three-face bijection theta is cut followed by relabelling, and the split/join
 pair separates closed branches into independent pieces.  Every operation
-asserts its genus and edge-count bookkeeping; outputs are canonical maps.
+checks its genus and edge-count bookkeeping, raising
+:class:`~plantedmaps.core.InvariantError` on a mismatch; outputs are
+canonical maps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from plantedmaps.core import (
     MapError,
     ValidationError,
     canonicalize,
+    check_invariant,
     validate,
 )
 from plantedmaps.partition import (
@@ -108,8 +111,8 @@ def cut(u: CellularMap) -> CutResult:
         raise WrongScenario("cut applies to scenario A only")
     cycles = _cut_cycles(u)
     result = canonicalize(3, cycles, _alpha_mapping(u))
-    assert result.np_edge_count == u.np_edge_count - 2
-    assert result.aggregate_genus() == u.genus() - 2
+    check_invariant(result.np_edge_count == u.np_edge_count - 2, "cut must remove two edges")
+    check_invariant(result.aggregate_genus() == u.genus() - 2, "cut must lower the genus by two")
     return CutResult(result, (prof.second, prof.third, u.faces.plant(0)))
 
 
@@ -133,10 +136,12 @@ def glue(x: CellularMap) -> CellularMap:
     interior3 = blocks[2][1:-1]
     seq = (faces.root(2),) + blocks[0] + blocks[1] + interior3 + (faces.plant(2),)
     out = canonicalize(1, (seq,), _alpha_mapping(x))
-    assert out.np_edge_count == x.np_edge_count + 2
-    assert out.genus() == x.aggregate_genus() + 2
+    check_invariant(out.np_edge_count == x.np_edge_count + 2, "glue must add two edges")
+    check_invariant(out.genus() == x.aggregate_genus() + 2, "glue must raise the genus by two")
     prof = v1_profile(out)
-    assert prof.degree >= 3 and prof.third > prof.second
+    check_invariant(
+        prof.degree >= 3 and prof.third > prof.second, "glue must give a scenario-A map"
+    )
     return out
 
 
@@ -176,7 +181,7 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
     for h, p in pairs.items():
         partner[h] = p
     out = CellularMap(FaceStructure((last - 2,)), tuple(partner))
-    assert out.genus() == u.genus()
+    check_invariant(out.genus() == u.genus(), "contract must keep the genus")
     return out, (relabel[x], relabel[y])
 
 
@@ -227,7 +232,7 @@ def insert_edge(u: CellularMap, x: int, y: int) -> CellularMap:
         partner[p] = q
         partner[q] = p
     out = CellularMap(FaceStructure((last + 2,)), tuple(partner))
-    assert out.genus() == u.genus()
+    check_invariant(out.genus() == u.genus(), "insert_edge must keep the genus")
     return out
 
 
@@ -251,7 +256,7 @@ def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
     prof = v1_profile(u)
     h2, h3 = prof.second, prof.third
     last = 2 * u.np_edge_count
-    assert u.alpha[h2] == 1 and u.alpha[h3] == h2 + 1
+    check_invariant(u.alpha[h2] == 1 and u.alpha[h3] == h2 + 1, "a class-B root pair is missing")
     k1 = list(range(2, h3))
     k2 = list(range(h3 + 1, h2))
     k3 = list(range(h2 + 2, last + 1))
@@ -266,12 +271,12 @@ def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
     partner[total - 1] = 0
     for h in order:
         p = u.alpha[h]
-        assert p not in removed
+        check_invariant(p not in removed, "delete_pair must remove whole pairs")
         partner[relabel[h]] = relabel[p]
     out = CellularMap(FaceStructure((last - 4,)), tuple(partner))
     a = len(k2)
     b = len(k2) + len(k1) if k1 else a
-    assert out.genus() == u.genus() - 1
+    check_invariant(out.genus() == u.genus() - 1, "delete_pair must lower the genus by one")
     return out, (a, b)
 
 
@@ -312,8 +317,8 @@ def insert_pair(u: CellularMap, a: int, b: int) -> CellularMap:
         partner[p] = q
         partner[q] = p
     out = CellularMap(FaceStructure((last + 4,)), tuple(partner))
-    assert classify(out).leaf == "B"
-    assert out.genus() == u.genus() + 1
+    check_invariant(classify(out).leaf == "B", "insert_pair must give a class-B map")
+    check_invariant(out.genus() == u.genus() + 1, "insert_pair must raise the genus by one")
     return out
 
 
@@ -385,7 +390,7 @@ def eta_inv(i: int, u: CellularMap) -> CellularMap:
         out = eta_inv(3, eta_inv(3, u))
     else:
         raise ValueError(f"eta index must be 1..7, got {i}")
-    assert _eta_domain(i, classify(out))
+    check_invariant(_eta_domain(i, classify(out)), f"eta_inv({i}) left the domain of eta{i}")
     return out
 
 
@@ -398,7 +403,7 @@ def theta(u: CellularMap) -> CellularMap:
     out = cut(u).map
     if not out.is_connected:
         raise Disconnected("cut of a class II map must be connected")
-    assert out.genus() == u.genus() - 2
+    check_invariant(out.genus() == u.genus() - 2, "theta must lower the genus by two")
     return out
 
 
@@ -410,7 +415,7 @@ def theta_inv(t: CellularMap) -> CellularMap:
     if not t.is_connected:
         raise Disconnected("theta_inv expects a connected map")
     out = glue(t)
-    assert classify(out).leaf == "II"
+    check_invariant(classify(out).leaf == "II", "theta_inv must give a class-II map")
     return out
 
 
@@ -439,8 +444,8 @@ def split5(i: int, u: CellularMap):
         pieces = tuple(
             canonicalize(1, (c,), _restrict_alpha(u, tuple(c))) for c in cycles
         )
-        assert all(p.np_edge_count >= 1 for p in pieces)
-        assert sum(p.genus() for p in pieces) == u.genus()
+        check_invariant(all(p.np_edge_count >= 1 for p in pieces), "split5 gave a trivial piece")
+        check_invariant(sum(p.genus() for p in pieces) == u.genus(), "split5 changed the genus sum")
         return pieces
     closed_cycle = cycles[i - 1]
     open_cycles = tuple(c for j, c in enumerate(cycles) if j != i - 1)
@@ -449,8 +454,8 @@ def split5(i: int, u: CellularMap):
     bi = canonicalize(2, open_cycles, _restrict_alpha(u, bi_ids))
     if not bi.is_connected:
         raise Disconnected("two-face piece must be connected")
-    assert uni.np_edge_count >= 1
-    assert uni.genus() + bi.genus() == u.genus() - 1
+    check_invariant(uni.np_edge_count >= 1, "the one-face piece of split5 must be nontrivial")
+    check_invariant(uni.genus() + bi.genus() == u.genus() - 1, "split5 must lower the genus by one")
     return uni, bi
 
 
@@ -514,5 +519,5 @@ def join5(i: int, pieces) -> CellularMap:
         raise ValueError(f"split index must be 1..4, got {i}")
     out = glue(x)
     pc = classify(out)
-    assert pc.leaf == f"F5{i}", pc
+    check_invariant(pc.leaf == f"F5{i}", f"join5({i}) gave class {pc.leaf}, not F5{i}")
     return out

@@ -5,7 +5,8 @@ non-plant half-edges of a face layout in lexicographic order: the smallest
 unmatched id is paired with each larger unmatched id in ascending order.
 :func:`count` and the three map streams share it, so streams are
 reproducible and duplicate free and the counts tally exactly what the
-streams yield.  Counting uses exact integers throughout.
+streams yield; :func:`_genus_pairings` adds the genera that :func:`count`
+and the partition histogram read without building maps.  Counting is exact.
 """
 
 from __future__ import annotations
@@ -137,20 +138,22 @@ def tricellular_stream(n: int, connected_only: bool = True) -> Iterator[Cellular
     yield from _cellular_stream(3, n, connected_only)
 
 
-def _count_for_faces(faces: FaceStructure) -> dict[int, int]:
-    """Per-genus counts over all pairings of one face layout, without
-    building map objects.  Disconnected maps are skipped for k >= 2."""
+def _genus_pairings(faces: FaceStructure) -> Iterator[tuple[int, list[int]]]:
+    """``(genus, partner)`` for every connected pairing of ``faces``, with
+    :func:`_pairings`' in-place list.  The genus counts the cycles of
+    ``sigma = partner o gamma``, which fixes each plant (gamma takes it to
+    its root); for k >= 2 a search skips disconnected pairings."""
     total = faces.total_half_edges
     k = faces.k
     gamma = faces.gamma
     n_edges = total // 2
-    counts: dict[int, int] = {}
     seen = [0] * total
     stamp = 0
+    starts = faces.roots + faces.np_ids  # the plants are the k fixed points
     for partner in _pairings(faces):
         stamp += 1
-        cycles = 0
-        for s0 in range(total):
+        cycles = k
+        for s0 in starts:
             if seen[s0] == stamp:
                 continue
             cycles += 1
@@ -172,9 +175,7 @@ def _count_for_faces(faces: FaceStructure) -> dict[int, int]:
                         stack.append(t)
             if reached != total:
                 continue
-        g = (2 - cycles + n_edges - k) // 2
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+        yield (2 - cycles + n_edges - k) // 2, partner
 
 
 @dataclass
@@ -224,12 +225,11 @@ def count(kind: str, n: int) -> CountTable:
     """
     kind = check_bound(kind, n)
     k = {"unicellular": 1, "bicellular": 2, "tricellular": 3}[kind]
-    table = CountTable(kind, {(g, n): 0 for g in range(n // 2 + 1)})
+    tally = [0] * (n // 2 + 1)
     for comp in compositions(2 * n, k):
-        faces = FaceStructure(comp)
-        for g, c in _count_for_faces(faces).items():
-            table.add(g, n, c)
-    return table
+        for g, _ in _genus_pairings(FaceStructure(comp)):
+            tally[g] += 1
+    return CountTable(kind, {(g, n): c for g, c in enumerate(tally)})
 
 
 def count_range(kind: str, n_max: int) -> CountTable:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: count, classify, verify, roundtrip, show, export.  Exit codes:
-0 on success, 1 when a verification or round-trip check fails, 2 on invalid
-input or an ``--output`` file that cannot be written.
+0 on success, 1 when a verification or round-trip check fails (including an
+internal invariant, reported as one ``error:`` line), 2 on invalid input or
+an ``--output`` file that cannot be written.
 
 Index conventions: ``count``, ``classify`` and ``show`` take the raw genus
 and non-plant edge count of the maps themselves, while ``verify`` and
@@ -18,7 +19,7 @@ import json
 import sys
 
 from plantedmaps import census, oracle, partition, roundtrips
-from plantedmaps.core import MapError, decode
+from plantedmaps.core import InvariantError, MapError, decode
 from plantedmaps.roundtrips import BIJECTION_NAMES
 
 EXIT_OK = 0
@@ -184,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "shards", 1) < 1:
             raise MapError("shard count must be >= 1")
         return args.handler(args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

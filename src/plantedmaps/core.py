@@ -65,6 +65,18 @@ class OddEulerDefect(MapError):
     pass
 
 
+class InvariantError(MapError):
+    """An internal consistency check failed: the program, not its input, is
+    at fault."""
+
+
+def check_invariant(ok: bool, message: str) -> None:
+    """Raise :class:`InvariantError` unless ``ok``; unlike ``assert`` the
+    check stays on under ``python -O``."""
+    if not ok:
+        raise InvariantError(message)
+
+
 @dataclass(frozen=True)
 class FaceStructure:
     """Face layout of a planted map.

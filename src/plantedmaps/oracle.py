@@ -227,6 +227,15 @@ def _census_tricellular(n: int):
     return census.count("tricellular", n)
 
 
+def check_theorem_bound(n: int) -> None:
+    """Reject an edge index beyond the census the theorem check reads,
+    before any work is done."""
+    from plantedmaps import census
+
+    if n > census.N_MAX["tricellular"] or n + 2 > census.N_MAX["unicellular"]:
+        raise BoundExceeded(f"theorem check bounded at n <= {census.N_MAX['tricellular']}")
+
+
 def verify_theorem(g: int, n: int) -> dict:
     """Check the three-face counting identity at one (g, n).
 
@@ -235,12 +244,11 @@ def verify_theorem(g: int, n: int) -> dict:
     cross-checks every partition class cardinality against its bijection
     target.
     """
-    from plantedmaps import census, partition
+    from plantedmaps import partition
 
     if n < 0 or g < 0:
         raise BoundExceeded("g and n must be non-negative")
-    if n > census.N_MAX["tricellular"] or n + 2 > census.N_MAX["unicellular"]:
-        raise BoundExceeded(f"theorem check bounded at n <= {census.N_MAX['tricellular']}")
+    check_theorem_bound(n)
 
     t = table()
     lhs_ref = t.u(g + 2, n + 2)
@@ -321,6 +329,7 @@ def verify_theorem_range(max_n: int) -> list[dict]:
     a potentially nonempty side."""
     if max_n < 0:
         raise BoundExceeded("max_n must be non-negative")
+    check_theorem_bound(max_n)
     reports = []
     for n in range(max_n + 1):
         for g in range((n + 2) // 2 + 1):

@@ -1,10 +1,11 @@
 """Classification of nontrivial one-face maps into disjoint leaf classes.
 
-The root vertex (the ``sigma`` cycle through the root) determines two
-distinguished half-edges: its second and third elements.  Their partners cut
-the face interior into up to three branches, and the interleaving pattern,
-branch lengths and branch closure under ``alpha`` drive a decision tree whose
-leaves partition the set of all nontrivial one-face maps:
+On a one-face map ``sigma(h) = alpha(h + 1)`` and ``sigma`` fixes the
+plant, so the root vertex (the ``sigma`` cycle through the root) is read
+straight from ``alpha``.  Its second and third half-edges' partners cut the
+face interior into up to three branches, and the interleaving pattern,
+branch lengths and branch closure under ``alpha`` drive one decision tree,
+:func:`_classify`, whose leaves partition the nontrivial one-face maps:
 
     B    second/third interleave the other way round (no branches)
     U1   root vertex of degree 2 (single wrap branch)
@@ -24,8 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from plantedmaps.core import BoundExceeded, CellularMap, MapError, ValidationError
+from plantedmaps.census import N_MAX, _genus_pairings
+from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, MapError
+from plantedmaps.core import ValidationError, check_invariant
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
 
@@ -77,6 +81,9 @@ class PartitionClass:
     second_pendant: bool = False
 
 
+_pc = lru_cache(maxsize=None)(PartitionClass)  # immutable: each class is built once
+
+
 def domains(pc: PartitionClass) -> tuple[str, ...]:
     """The leaf of ``pc`` followed by each of :data:`PENDANT_DOMAINS` that
     its flags put it in."""
@@ -98,33 +105,39 @@ def _require_nontrivial_unicellular(u: CellularMap) -> None:
         raise TrivialMap("the edgeless map has no root vertex profile")
 
 
+def _root_cycle(alpha: Sequence[int], limit: int) -> list[int]:
+    """The first ``limit`` half-edges of the root vertex of a nontrivial
+    one-face map, walked from the root as ``sigma(h) = alpha[h + 1]``."""
+    cycle = [0]
+    h = alpha[1]
+    while h and len(cycle) < limit:
+        cycle.append(h)
+        h = alpha[h + 1]
+    # Forced: gamma(root) pairs with the second, gamma(second) with the third.
+    second = cycle[1]
+    check_invariant(alpha[second] == 1, "root pair (second, 1) missing")
+    if len(cycle) > 2:
+        check_invariant(alpha[cycle[2]] == second + 1, "root pair (third, second + 1) missing")
+    return cycle
+
+
+def _closed(alpha: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether ``alpha`` maps the ids ``lo..hi`` onto themselves."""
+    seg = alpha[lo : hi + 1]
+    return not seg or (min(seg) >= lo and max(seg) <= hi)
+
+
 def v1_profile(u: CellularMap) -> V1Profile:
     """Profile of the vertex containing the root."""
     _require_nontrivial_unicellular(u)
-    sigma = u.sigma
-    cycle = [0]
-    h = sigma[0]
-    while h != 0:
-        cycle.append(h)
-        h = sigma[h]
-    m = len(cycle)
-    second = cycle[1]
-    third = cycle[2] if m >= 3 else None
-    # Forced identities: gamma(root) pairs with the second half-edge, and for
-    # degree >= 3 gamma(second) pairs with the third.
-    assert u.alpha[second] == 1
-    if third is not None:
-        assert u.alpha[third] == u.gamma[second]
-    return V1Profile(m, second, third)
+    cycle = _root_cycle(u.alpha, u.total_half_edges)
+    return V1Profile(len(cycle), cycle[1], cycle[2] if len(cycle) > 2 else None)
 
 
 def scenario(u: CellularMap) -> str:
     """Interleaving scenario: "A" when the third half-edge follows the
     second in face order (or the degree is 2), "B" otherwise."""
-    prof = v1_profile(u)
-    if prof.degree == 2 or prof.third > prof.second:
-        return "A"
-    return "B"
+    return "B" if classify(u).leaf == "B" else "A"
 
 
 def branches(u: CellularMap) -> Branches:
@@ -150,50 +163,47 @@ def branches(u: CellularMap) -> Branches:
 def closed_branches(u: CellularMap) -> tuple[bool, bool, bool]:
     """Closure of each branch under ``alpha`` (empty branches are closed)."""
     br = branches(u)
-    alpha = u.alpha
-
-    def closed(seg: tuple[int, ...]) -> bool:
-        if not seg:
-            return True
-        lo, hi = seg[0], seg[-1]
-        return all(lo <= alpha[t] <= hi for t in seg)
-
-    return closed(br.first), closed(br.second), closed(br.third)
+    return tuple(not s or _closed(u.alpha, s[0], s[-1]) for s in (br.first, br.second, br.third))
 
 
-def classify(u: CellularMap) -> PartitionClass:
-    """Leaf classification of a nontrivial one-face map.
-
-    Total on its domain; the leaves are pairwise disjoint by construction.
-    """
-    prof = v1_profile(u)
-    m = prof.degree
-    if m >= 3 and prof.third < prof.second:
-        return PartitionClass("B")
+def _classify(alpha: Sequence[int]) -> PartitionClass:
+    """Leaf of the nontrivial one-face map with partner array ``alpha``; total
+    on that domain, and the leaves are pairwise disjoint by construction."""
+    cycle = _root_cycle(alpha, 4)
+    m = len(cycle)  # the root degree, or 4 for any degree >= 4
+    if m >= 3 and cycle[2] < cycle[1]:
+        return _pc("B")
     if m == 2:
-        # The wrap pair joins the root vertex to a second vertex, so its
-        # contraction is always legal.
-        assert u.vertex_of[u.alpha[prof.second]] != u.vertex_of[prof.second]
-        return PartitionClass("U1")
-    h2, h3 = prof.second, prof.third
+        # The wrap pair leaves the root vertex at its last half-edge and joins
+        # it to a second vertex, so its contraction is always legal.
+        check_invariant(alpha[cycle[1]] not in cycle, "the U1 wrap pair lies on the root vertex")
+        return _pc("U1")
+    h2, h3 = cycle[1], cycle[2]
     len1, len2 = h2, h3 - h2
     if m == 3:
         # Same for the tail pair of a degree-3 root vertex.
-        assert u.vertex_of[u.alpha[h3]] != u.vertex_of[h3]
-        return PartitionClass("U2", first_pendant=len1 == 2, second_pendant=len2 == 2)
-    # m >= 4
-    c1, c2, c3 = closed_branches(u)
+        check_invariant(alpha[h3] not in cycle, "the U2 tail pair lies on the root vertex")
+        return _pc("U2", len1 == 2, len2 == 2)
+    c1 = _closed(alpha, 1, h2)
+    c2 = _closed(alpha, h2 + 1, h3)
+    c3 = _closed(alpha, h3 + 1, len(alpha) - 2)
     n_closed = c1 + c2 + c3
-    assert n_closed != 2, "two closed branches are impossible"
+    check_invariant(n_closed != 2, "two closed branches are impossible")
     if n_closed == 0:
-        return PartitionClass("II")
+        return _pc("II")
     if len1 == 2:
-        return PartitionClass("G23", first_pendant=True, second_pendant=len2 == 2)
+        return _pc("G23", True, len2 == 2)
     if len2 == 2:
-        return PartitionClass("G24", second_pendant=True)
+        return _pc("G24", False, True)
     if n_closed == 3:
-        return PartitionClass("F54")
-    return PartitionClass("F51" if c1 else ("F52" if c2 else "F53"))
+        return _pc("F54")
+    return _pc("F51" if c1 else ("F52" if c2 else "F53"))
+
+
+def classify(u: CellularMap) -> PartitionClass:
+    """Leaf classification of a nontrivial one-face map."""
+    _require_nontrivial_unicellular(u)
+    return _classify(u.alpha)
 
 
 def contraction_edges(u: CellularMap) -> tuple[tuple[int, int], ...]:
@@ -228,7 +238,8 @@ def contraction_vertices_distinct(u: CellularMap) -> bool:
 
 @dataclass(frozen=True)
 class PartitionHistogram:
-    """Per-leaf cardinalities of one genus bucket, plus pendant-flag counts."""
+    """Per-leaf cardinalities of one genus bucket, then the size of each of
+    :data:`PENDANT_DOMAINS` in order."""
 
     g: int
     n: int
@@ -246,13 +257,10 @@ class PartitionHistogram:
 def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     """One classification pass over every one-face map with ``total_np``
     non-plant edges, counted per ``(genus, domain)`` for the leaves and
-    :data:`PENDANT_DOMAINS`."""
-    from plantedmaps.census import unicellular_stream
-
+    :data:`PENDANT_DOMAINS`.  Reads the census partner lists directly."""
     counts: dict[tuple[int, str], int] = {}
-    for mp in unicellular_stream(total_np):
-        g = mp.genus()
-        for dom in domains(classify(mp)):
+    for g, partner in _genus_pairings(FaceStructure((2 * total_np,))):
+        for dom in domains(_classify(partner)):
             counts[g, dom] = counts.get((g, dom), 0) + 1
     return counts
 
@@ -264,19 +272,11 @@ def histogram(g: int, n: int) -> PartitionHistogram:
     The indices follow the counting identity: the maps classified live two
     genera and two edges above ``(g, n)``.
     """
-    from plantedmaps.census import N_MAX
-
     if g < 0 or n < 0:
         raise BoundExceeded("g and n must be non-negative")
     if n + 2 > N_MAX["unicellular"]:
         raise BoundExceeded(f"histogram bounded at n <= {N_MAX['unicellular'] - 2}")
     counts = _census_class_counts(n + 2)
-    genus = g + 2
-    return PartitionHistogram(
-        g=g,
-        n=n,
-        classes={leaf: counts.get((genus, leaf), 0) for leaf in LEAVES},
-        u2_first_pendant=counts.get((genus, "U2_first"), 0),
-        u2_second_pendant=counts.get((genus, "U2_second"), 0),
-        g23_second_pendant=counts.get((genus, "G23_second"), 0),
-    )
+    classes = {leaf: counts.get((g + 2, leaf), 0) for leaf in LEAVES}
+    pendants = (counts.get((g + 2, dom), 0) for dom in PENDANT_DOMAINS)
+    return PartitionHistogram(g, n, classes, *pendants)

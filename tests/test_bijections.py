@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import plantedmaps
 from conftest import mk, uni
 from plantedmaps import bijections as bij
 from plantedmaps import roundtrips
@@ -207,3 +213,24 @@ def test_bookkeeping_assertions():
     out, _ = bij.delete_pair(M4)
     assert out.genus() == M4.genus() - 1
     assert out.np_edge_count == M4.np_edge_count - 2
+
+
+def test_invariants_survive_python_O():
+    # With insert_edge broken, eta_inv(1) of a class-B map stays class B,
+    # outside the domain of eta1; the check must fire with asserts stripped.
+    script = (
+        "from plantedmaps import bijections\n"
+        "from plantedmaps.core import InvariantError, from_np_pairs\n"
+        "bijections.insert_edge = lambda u, x, y: u\n"
+        "try:\n"
+        "    bijections.eta_inv(1, from_np_pairs((4,), [(1, 3), (2, 4)]))\n"
+        "except InvariantError as exc:\n"
+        "    print('InvariantError:', exc)\n"
+    )
+    src = str(Path(plantedmaps.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("InvariantError: eta_inv(1)")

@@ -6,12 +6,16 @@ from conftest import catalan, double_factorial_odd, mk, uni
 from plantedmaps import oracle
 from plantedmaps.census import (
     BoundExceeded,
+    _genus_pairings,
+    _pairings,
     bicellular_stream,
+    compositions,
     count,
     count_range,
     tricellular_stream,
     unicellular_stream,
 )
+from plantedmaps.core import CellularMap, FaceStructure
 
 
 def test_unicellular_n0_is_the_trivial_map():
@@ -174,3 +178,17 @@ def test_count_range_merges_tables():
 def test_merge_rejects_kind_mismatch():
     with pytest.raises(ValueError):
         count("unicellular", 1).merge(count("bicellular", 1))
+
+
+@pytest.mark.parametrize("k, n_max", [(1, 5), (2, 3), (3, 3)], ids=["uni", "bi", "tri"])
+def test_genus_pairings_are_the_connected_pairings_with_their_genus(k, n_max):
+    for n in range(n_max + 1):
+        for comp in compositions(2 * n, k):
+            faces = FaceStructure(comp)
+            expected = []
+            for p in _pairings(faces):
+                mp = CellularMap(faces, tuple(p))
+                if mp.is_connected:
+                    expected.append((mp.genus(), tuple(p)))
+            got = [(g, tuple(p)) for g, p in _genus_pairings(faces)]
+            assert got == expected, comp

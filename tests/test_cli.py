@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from plantedmaps import bijections
+from plantedmaps import bijections, partition
 from plantedmaps.cli import main
-from plantedmaps.core import from_np_pairs
+from plantedmaps.core import InvariantError, from_np_pairs
 
 SHARD_COMMANDS = [
     ("count", "--kind", "uni", "--edges", "5"),
@@ -209,3 +209,28 @@ def test_wrong_inverse_is_a_failed_check(capsys, monkeypatch, bijection, attr):
 def test_vacuous_run_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_theorem_bound_is_checked_before_any_work(capsys, monkeypatch):
+    def histogram(*_):
+        pytest.fail("the theorem check classified maps before checking its bound")
+
+    monkeypatch.setattr(partition, "histogram", histogram)
+    code, out, err = run(capsys, "verify", "--relation", "theorem", "--max-n", "6")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_broken_surgery_invariant_is_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(bijections, "insert_edge", lambda u, x, y: u)
+    code, out, _ = run(capsys, "roundtrip", "--bijection", "eta1", "--g", "0", "--n", "3")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def test_invariant_error_exits_1_with_one_error_line(capsys, monkeypatch):
+    def histogram(*_):
+        raise InvariantError("two closed branches are impossible")
+
+    monkeypatch.setattr(partition, "histogram", histogram)
+    code, out, err = run(capsys, "classify", "--genus", "2", "--edges", "4")
+    assert (code, out, err) == (1, "", "error: two closed branches are impossible\n")

@@ -9,6 +9,7 @@ from plantedmaps.partition import (
     PartitionClass,
     TrivialMap,
     WrongScenario,
+    _census_class_counts,
     branches,
     classify,
     closed_branches,
@@ -188,3 +189,45 @@ def test_domains_name_the_leaf_then_the_pendant_sub_domains():
             leaf, *subs = domains(pc)
             assert leaf == pc.leaf
             assert all(s in PENDANT_DOMAINS and s.startswith(leaf) for s in subs)
+
+
+def _object_classify(u):
+    """The decision tree on the object path: the root cycle from ``u.sigma``,
+    distinct vertices from ``u.vertex_of``, branch closure by set membership."""
+    sigma, alpha, vertex_of = u.sigma, u.alpha, u.vertex_of
+    cycle = [0]
+    while sigma[cycle[-1]] != 0:
+        cycle.append(sigma[cycle[-1]])
+    if len(cycle) >= 3 and cycle[2] < cycle[1]:
+        return PartitionClass("B")
+    if len(cycle) == 2:
+        assert vertex_of[alpha[cycle[1]]] != vertex_of[cycle[1]]
+        return PartitionClass("U1")
+    h2, h3 = cycle[1], cycle[2]
+    if len(cycle) == 3:
+        assert vertex_of[alpha[h3]] != vertex_of[h3]
+        return PartitionClass("U2", h2 == 2, h3 - h2 == 2)
+    segs = (range(1, h2 + 1), range(h2 + 1, h3 + 1), range(h3 + 1, 2 * u.np_edge_count + 1))
+    closed = [all(alpha[t] in seg for t in seg) for seg in segs]
+    assert sum(closed) != 2
+    if not any(closed):
+        return PartitionClass("II")
+    if h2 == 2:
+        return PartitionClass("G23", True, h3 - h2 == 2)
+    if h3 - h2 == 2:
+        return PartitionClass("G24", second_pendant=True)
+    if all(closed):
+        return PartitionClass("F54")
+    return PartitionClass(f"F5{closed.index(True) + 1}")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_census_class_counts_match_the_object_path(m):
+    expected = {}
+    for mp in unicellular_stream(m):
+        pc = _object_classify(mp)
+        assert classify(mp) == pc, mp
+        for dom in domains(pc):
+            key = (mp.genus(), dom)
+            expected[key] = expected.get(key, 0) + 1
+    assert _census_class_counts(m) == expected
