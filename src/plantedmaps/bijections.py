@@ -15,7 +15,10 @@ Five primitives cover everything:
 
 The class bijections eta1..eta7 are contractions at forced positions, the
 three-face bijection theta is cut followed by relabelling, and the split/join
-pair separates closed branches into independent pieces.  Every operation
+pair separates closed branches into independent pieces.  The one-face
+surgeries contract, insert_edge, delete_pair and insert_pair each write
+their new face word through ``_one_face``; cut, glue and split5 go through
+the validating :func:`~plantedmaps.core.canonicalize`.  Every operation
 checks its genus and edge-count bookkeeping, raising
 :class:`~plantedmaps.core.InvariantError` on a mismatch; outputs are
 canonical maps.
@@ -87,10 +90,6 @@ class CutResult:
     became_plants: tuple[int, int, int]
 
 
-def _alpha_mapping(u: CellularMap) -> dict[int, int]:
-    return {h: p for h, p in enumerate(u.alpha)}
-
-
 def _cut_cycles(u: CellularMap) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     br = branches(u)
     plant = u.faces.plant(0)
@@ -110,7 +109,7 @@ def cut(u: CellularMap) -> CutResult:
     if prof.third < prof.second:
         raise WrongScenario("cut applies to scenario A only")
     cycles = _cut_cycles(u)
-    result = canonicalize(3, cycles, _alpha_mapping(u))
+    result = canonicalize(3, cycles, dict(enumerate(u.alpha)))
     check_invariant(result.np_edge_count == u.np_edge_count - 2, "cut must remove two edges")
     check_invariant(result.aggregate_genus() == u.genus() - 2, "cut must lower the genus by two")
     return CutResult(result, (prof.second, prof.third, u.faces.plant(0)))
@@ -135,7 +134,7 @@ def glue(x: CellularMap) -> CellularMap:
     blocks = [tuple(range(faces.root(i), faces.plant(i) + 1)) for i in range(3)]
     interior3 = blocks[2][1:-1]
     seq = (faces.root(2),) + blocks[0] + blocks[1] + interior3 + (faces.plant(2),)
-    out = canonicalize(1, (seq,), _alpha_mapping(x))
+    out = canonicalize(1, (seq,), dict(enumerate(x.alpha)))
     check_invariant(out.np_edge_count == x.np_edge_count + 2, "glue must add two edges")
     check_invariant(out.genus() == x.aggregate_genus() + 2, "glue must raise the genus by two")
     prof = v1_profile(out)
@@ -143,6 +142,39 @@ def glue(x: CellularMap) -> CellularMap:
         prof.degree >= 3 and prof.third > prof.second, "glue must give a scenario-A map"
     )
     return out
+
+
+def _one_face(u: CellularMap, seq, fresh=()) -> CellularMap:
+    """The one-face map whose interior reads ``seq`` in face order.
+
+    Every old id in ``seq`` keeps its ``u.alpha`` partner, relabelled by
+    position; ``fresh`` pairs the new tokens of ``seq`` with each other.  The
+    root and plant are implied, so ``seq`` must be closed under the pairing.
+    """
+    new_of = {old: new for new, old in enumerate(seq, start=1)}
+    last = len(seq) + 1
+    partner = [last] + [0] * last
+    for p, q in fresh:
+        partner[new_of[p]], partner[new_of[q]] = new_of[q], new_of[p]
+    alpha = u.alpha
+    for old, new in new_of.items():
+        if not partner[new]:  # fresh tokens are paired already
+            partner[new] = new_of[alpha[old]]
+    return CellularMap(FaceStructure((len(seq),)), tuple(partner))
+
+
+def _marks(u: CellularMap, x: int, y: int) -> tuple[int, int]:
+    """Check a mark pair of a one-face map: root or interior ids, ``x <= y``."""
+    x, y = int(x), int(y)
+    last = 2 * u.np_edge_count
+    for m in (x, y):
+        if m == last + 1:
+            raise MarkIsPlant("a mark cannot be the plant")
+        if not 0 <= m <= last:
+            raise ValidationError(f"mark {m} out of range")
+    if x > y:
+        raise MarkOrder(f"marks must satisfy {x} <= {y} in face order")
+    return x, y
 
 
 def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[int, int]]:
@@ -166,23 +198,9 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
         raise ValidationError(f"({a},{b}) is not an edge of the map")
     if u.vertex_of[a] == u.vertex_of[b]:
         raise SameVertex(f"both ends of ({a},{b}) meet the same vertex")
-    x = a - 1
-    y = b - 1 if b - 1 != a else x
-    remaining = [t for t in range(1, last + 1) if t != a and t != b]
-    relabel = {0: 0, last + 1: last - 1}
-    for new, old in enumerate(remaining, start=1):
-        relabel[old] = new
-    pairs = {}
-    for h in remaining:
-        pairs[relabel[h]] = relabel[u.alpha[h]]
-    partner = [0] * (last)
-    partner[0] = last - 1
-    partner[last - 1] = 0
-    for h, p in pairs.items():
-        partner[h] = p
-    out = CellularMap(FaceStructure((last - 2,)), tuple(partner))
+    out = _one_face(u, [t for t in range(1, last + 1) if t != a and t != b])
     check_invariant(out.genus() == u.genus(), "contract must keep the genus")
-    return out, (relabel[x], relabel[y])
+    return out, (a - 1, b - 2)
 
 
 def insert_edge(u: CellularMap, x: int, y: int) -> CellularMap:
@@ -195,50 +213,18 @@ def insert_edge(u: CellularMap, x: int, y: int) -> CellularMap:
     """
     if u.k != 1:
         raise ValidationError("insert_edge expects a one-face map")
-    x, y = int(x), int(y)
-    last = 2 * u.np_edge_count
-    for m in (x, y):
-        if m == last + 1:
-            raise MarkIsPlant("a mark cannot be the plant")
-        if not 0 <= m <= last:
-            raise ValidationError(f"mark {m} out of range")
-    if x > y:
-        raise MarkOrder(f"marks must satisfy {x} <= {y} in face order")
+    x, y = _marks(u, x, y)
     if u.vertex_of[x] != u.vertex_of[y]:
         raise ValidationError("marks must lie in one vertex")
-    A, B = "a", "b"
-    seq: list = []
-    if x == 0:
-        seq.append(A)
-    if y == 0:
-        seq.append(B)
-    for t in range(1, last + 1):
-        seq.append(t)
-        if t == x:
-            seq.append(A)
-        if t == y:
-            seq.append(B)
-    new_of = {old: new for new, old in enumerate(seq, start=1)}
-    pairs = [(new_of[A], new_of[B])]
-    for h in range(1, last + 1):
-        p = u.alpha[h]
-        if h < p:
-            pairs.append((new_of[h], new_of[p]))
-    total = last + 4
-    partner = [0] * total
-    partner[0] = total - 1
-    partner[total - 1] = 0
-    for p, q in pairs:
-        partner[p] = q
-        partner[q] = p
-    out = CellularMap(FaceStructure((last + 2,)), tuple(partner))
+    interior = range(1, 2 * u.np_edge_count + 1)
+    out = _one_face(u, [*interior[:x], "A", *interior[x:y], "B", *interior[y:]], [("A", "B")])
     check_invariant(out.genus() == u.genus(), "insert_edge must keep the genus")
     return out
 
 
 def inserted_edge_ids(x: int, y: int) -> tuple[int, int]:
     """Ids of the pair created by ``insert_edge(u, x, y)``."""
-    return (x + 1, x + 2) if x == y else (x + 1, y + 2)
+    return (x + 1, y + 2)
 
 
 def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
@@ -261,23 +247,13 @@ def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
     k2 = list(range(h3 + 1, h2))
     k3 = list(range(h2 + 2, last + 1))
     removed = {1, h2, h3, h2 + 1}
-    order = k2 + k1 + k3
-    relabel = {0: 0, last + 1: last - 3}
-    for new, old in enumerate(order, start=1):
-        relabel[old] = new
-    total = last - 2
-    partner = [0] * total
-    partner[0] = total - 1
-    partner[total - 1] = 0
-    for h in order:
-        p = u.alpha[h]
-        check_invariant(p not in removed, "delete_pair must remove whole pairs")
-        partner[relabel[h]] = relabel[p]
-    out = CellularMap(FaceStructure((last - 4,)), tuple(partner))
-    a = len(k2)
-    b = len(k2) + len(k1) if k1 else a
+    seq = k2 + k1 + k3
+    check_invariant(
+        all(u.alpha[h] not in removed for h in seq), "delete_pair must remove whole pairs"
+    )
+    out = _one_face(u, seq)
     check_invariant(out.genus() == u.genus() - 1, "delete_pair must lower the genus by one")
-    return out, (a, b)
+    return out, (len(k2), len(k2) + len(k1))
 
 
 def insert_pair(u: CellularMap, a: int, b: int) -> CellularMap:
@@ -290,33 +266,11 @@ def insert_pair(u: CellularMap, a: int, b: int) -> CellularMap:
     """
     if u.k != 1:
         raise ValidationError("insert_pair expects a one-face map")
-    a, b = int(a), int(b)
-    last = 2 * u.np_edge_count
-    for m in (a, b):
-        if m == last + 1:
-            raise MarkIsPlant("a mark cannot be the plant")
-        if not 0 <= m <= last:
-            raise ValidationError(f"mark {m} out of range")
-    if a > b:
-        raise MarkOrder(f"marks must satisfy {a} <= {b} in face order")
-    interior = list(range(1, last + 1))
+    a, b = _marks(u, a, b)
+    interior = range(1, 2 * u.np_edge_count + 1)
     P, Q, T = interior[:a], interior[a:b], interior[b:]
-    A2, H3, H2, A3 = "a2", "h3", "h2", "a3"
-    seq = [A2, *Q, H3, *P, H2, A3, *T]
-    new_of = {old: new for new, old in enumerate(seq, start=1)}
-    pairs = [(new_of[A2], new_of[H2]), (new_of[H3], new_of[A3])]
-    for h in interior:
-        p = u.alpha[h]
-        if h < p:
-            pairs.append((new_of[h], new_of[p]))
-    total = last + 6
-    partner = [0] * total
-    partner[0] = total - 1
-    partner[total - 1] = 0
-    for p, q in pairs:
-        partner[p] = q
-        partner[q] = p
-    out = CellularMap(FaceStructure((last + 4,)), tuple(partner))
+    seq = ["A2", *Q, "H3", *P, "H2", "A3", *T]
+    out = _one_face(u, seq, [("A2", "H2"), ("H3", "A3")])
     check_invariant(classify(out).leaf == "B", "insert_pair must give a class-B map")
     check_invariant(out.genus() == u.genus() + 1, "insert_pair must raise the genus by one")
     return out
@@ -439,7 +393,6 @@ def split5(i: int, u: CellularMap):
     if pc.leaf != f"F5{i}":
         raise WrongClass(f"split5({i}) applies to class F5{i}, got {pc.leaf}")
     cycles = _cut_cycles(u)
-    alpha = _alpha_mapping(u)
     if i == 4:
         pieces = tuple(
             canonicalize(1, (c,), _restrict_alpha(u, tuple(c))) for c in cycles

@@ -329,6 +329,12 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
             raise HasFixedPoint(f"alpha fixes half-edge {h}")
         if partner[p] != h:
             raise NotInvolution(f"alpha(alpha({h})) = {partner[p]} != {h}")
+    return _planted(faces, partner)
+
+
+def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
+    """Check that each root is paired with its plant and return the map;
+    ``partner`` must already be a fixed-point free involution on the ids."""
     for i in range(faces.k):
         r, s = faces.root(i), faces.plant(i)
         if partner[r] != s:
@@ -339,7 +345,8 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
 
 
 def involution_from_pairs(pairs: Iterable[tuple[int, int]], total: int) -> tuple[int, ...]:
-    """Partner array from a list of id pairs covering ``range(total)``."""
+    """Partner array from a list of id pairs covering ``range(total)``; the
+    one check of each pair (range, fixed point, paired twice, unpaired)."""
     partner = [-1] * total
     for a, b in pairs:
         a, b = int(a), int(b)
@@ -363,7 +370,7 @@ def from_np_pairs(
 ) -> CellularMap:
     """Build a map from interior sizes and a matching on the non-plant
     half-edges, indexed 1..2n across faces in face order.  Plant pairs are
-    supplied automatically."""
+    supplied automatically, so each root is paired with its plant."""
     faces = FaceStructure(tuple(interiors))
     np_ids = faces.np_ids
     all_pairs = [(faces.root(i), faces.plant(i)) for i in range(faces.k)]
@@ -371,7 +378,7 @@ def from_np_pairs(
         if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
         all_pairs.append((np_ids[s - 1], np_ids[t - 1]))
-    return validate(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
+    return CellularMap(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
 
 
 def canonicalize(
@@ -451,5 +458,4 @@ def decode(text: str) -> CellularMap:
     # Checked before the partner array is allocated from ``interiors``.
     if 2 * len(alpha_pairs) != total:
         raise SizeMismatch(f"alpha has {len(alpha_pairs)} pairs, map has {total} half-edges")
-    partner = involution_from_pairs([tuple(p) for p in alpha_pairs], total)
-    return validate(faces, partner)
+    return _planted(faces, involution_from_pairs(alpha_pairs, total))

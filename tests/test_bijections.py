@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from plantedmaps import bijections as bij
 from plantedmaps import roundtrips
 from plantedmaps.census import tricellular_stream
 from plantedmaps.core import Disconnected, ValidationError
-from plantedmaps.partition import classify
+from plantedmaps.partition import classify, domains
 
 EPS = uni(0)
 M2 = uni(2, (1, 3), (2, 4))
@@ -117,6 +118,25 @@ def test_insert_pair_lands_in_class_b_for_every_mark_pair():
             out = bij.insert_pair(M2, a, b)
             assert classify(out).leaf == "B"
             assert out.genus() == 2
+
+
+@pytest.mark.parametrize("insert", [bij.insert_edge, bij.insert_pair], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "marks, exc",
+    [
+        ((3, 1), bij.MarkOrder),
+        ((0, 9), bij.MarkIsPlant),
+        ((9, 9), bij.MarkIsPlant),
+        ((-1, 2), ValidationError),
+        ((0, 10), ValidationError),
+    ],
+    ids=["order", "plant", "both_plant", "below_root", "past_plant"],
+)
+def test_insertions_share_the_mark_check(insert, marks, exc):
+    # M4 has interior 1..8 and its plant at 9
+    with pytest.raises(exc) as info:
+        insert(M4, *marks)
+    assert type(info.value) is exc
 
 
 def test_psi_image_count_at_0_2():
@@ -234,3 +254,90 @@ def test_invariants_survive_python_O():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("InvariantError: eta_inv(1)")
+
+
+# Seeded checks beyond the exhaustive window (n <= 4): uniformly random
+# one-face maps, and F5 maps glued from random pieces, since a closed branch
+# almost never occurs in a uniform map this large.
+
+
+def _random_map(rng, interiors):
+    """Uniformly random pairing of the non-plant half-edges of ``interiors``."""
+    ids = list(range(1, sum(interiors) + 1))
+    rng.shuffle(ids)
+    return mk(interiors, *zip(ids[0::2], ids[1::2]))
+
+
+def _random_connected_bi(rng, n):
+    while True:
+        s = rng.randrange(1, 2 * n)
+        bi = _random_map(rng, (s, 2 * n - s))
+        if bi.is_connected:
+            return bi
+
+
+def _euler_genus(m):
+    """Half of 2 - V + E - F, with the vertices counted here as the cycles of
+    h -> alpha(next id in h's face); the aggregate genus for k > 1."""
+    nxt = list(range(1, m.total_half_edges + 1))
+    for i in range(m.k):
+        nxt[m.faces.plant(i)] = m.faces.root(i)
+    seen = [False] * m.total_half_edges
+    v = 0
+    for h in range(m.total_half_edges):
+        v += not seen[h]
+        while not seen[h]:
+            seen[h] = True
+            h = m.alpha[nxt[h]]
+    defect = 2 - v + m.n_edges - m.k
+    assert defect % 2 == 0
+    return defect // 2
+
+
+@pytest.mark.parametrize("n", [20, 60, 120, 200])
+def test_surgeries_on_random_maps(n):
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(12):
+        u = _random_map(rng, (2 * n,))
+        g = _euler_genus(u)
+        assert u.genus() == g
+        vo = u.vertex_of
+        edges = [(a, u.alpha[a]) for a in range(1, 2 * n + 1) if vo[a] != vo[u.alpha[a]]]
+        if edges:  # a one-vertex map has no contractible edge
+            edge = rng.choice(edges)
+            v, marks = bij.contract(u, edge)
+            assert _euler_genus(v) == g and v.np_edge_count == n - 1
+            assert bij.insert_edge(v, *marks) == u
+            assert bij.inserted_edge_ids(*marks) == tuple(sorted(edge))
+            seen.add("contract")
+        pc = classify(u)
+        for i in range(1, 8):
+            w = bij.eta_inv(i, u)
+            assert _euler_genus(w) == g and bij.eta(i, w) == u
+            if set(domains(pc)) & set(bij.ETA_DOMAINS[i]):
+                assert bij.eta_inv(i, bij.eta(i, u)) == u
+        leaf = pc.leaf
+        seen.add(leaf)
+        if leaf == "B":
+            v, marks = bij.delete_pair(u)
+            assert _euler_genus(v) == g - 1 and v.np_edge_count == n - 2
+            assert bij.insert_pair(v, *marks) == u
+        elif leaf != "U1" and g >= 2:  # scenario A, root degree >= 3, glue-able
+            t = bij.cut(u).map
+            assert _euler_genus(t) == g - 2 and bij.glue(t) == u
+            if leaf == "II":
+                assert bij.theta(u) == t and bij.theta_inv(t) == u
+    assert {"contract", "B", "II"} <= seen
+    for i in (1, 2, 3, 4):
+        if i == 4:
+            sizes = (n // 3, n // 3, n - 2 - 2 * (n // 3))
+            pieces = tuple(_random_map(rng, (2 * s,)) for s in sizes)
+        else:
+            pieces = (_random_map(rng, (2 * (n // 3),)), _random_connected_bi(rng, n - 2 - n // 3))
+        u = bij.join5(i, pieces)
+        assert u.np_edge_count == n
+        assert bij.split5(i, u) == pieces and bij.join5(i, bij.split5(i, u)) == u
+        g = _euler_genus(u)
+        genus_sum = sum(_euler_genus(p) for p in pieces)
+        assert genus_sum == (g if i == 4 else g - 1)

@@ -262,3 +262,34 @@ def test_maps_are_hashable_values():
 def test_from_np_pairs_rejects_bad_index():
     with pytest.raises(SizeMismatch):
         from_np_pairs((2,), [(1, 5)])
+
+
+# Malformed pairings of a two-edge one-face map (ids 0..5, interior 1..4):
+# the ``alpha`` of a ``decode`` document, the same fault as ``from_np_pairs``
+# interior pairs (None where that entry point supplies the root/plant pair
+# itself), and the exception class both must raise.
+MALFORMED_ALPHA = {
+    "id_out_of_range": ([[0, 5], [1, 3], [2, 6]], [(1, 3), (2, 5)], SizeMismatch),
+    "fixed_point": ([[0, 5], [1, 1], [2, 4]], [(1, 1), (2, 4)], HasFixedPoint),
+    "paired_twice": ([[0, 5], [1, 3], [3, 2]], [(1, 3), (3, 2)], NotInvolution),
+    "unpaired_id": ([[0, 5], [1, 3]], [(1, 3)], SizeMismatch),
+    "plant_not_paired_with_root": ([[0, 2], [1, 5], [3, 4]], None, PlantNotPairedWithRoot),
+}
+
+
+@pytest.mark.parametrize(
+    "case, entry",
+    [
+        (case, entry)
+        for case, (_, np_pairs, _) in MALFORMED_ALPHA.items()
+        for entry in ("decode", "from_np_pairs")
+        if entry == "decode" or np_pairs is not None
+    ],
+)
+def test_malformed_alpha_raises_one_class(case, entry):
+    doc_alpha, np_pairs, exc = MALFORMED_ALPHA[case]
+    with pytest.raises(exc):
+        if entry == "decode":
+            decode(json.dumps({"k": 1, "interiors": [4], "alpha": doc_alpha}))
+        else:
+            from_np_pairs((4,), np_pairs)
