@@ -27,6 +27,7 @@ canonical maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from plantedmaps.core import (
     CellularMap,
@@ -144,6 +145,11 @@ def glue(x: CellularMap) -> CellularMap:
     return out
 
 
+# One layout per interior size, shared by the maps built below; bounded,
+# since random inputs bring a new size with every map.
+_one_face_layout = lru_cache(maxsize=32)(lambda size: FaceStructure((size,)))
+
+
 def _one_face(u: CellularMap, seq, fresh=()) -> CellularMap:
     """The one-face map whose interior reads ``seq`` in face order.
 
@@ -160,7 +166,7 @@ def _one_face(u: CellularMap, seq, fresh=()) -> CellularMap:
     for old, new in new_of.items():
         if not partner[new]:  # fresh tokens are paired already
             partner[new] = new_of[alpha[old]]
-    return CellularMap(FaceStructure((len(seq),)), tuple(partner))
+    return CellularMap(_one_face_layout(len(seq)), tuple(partner))
 
 
 def _marks(u: CellularMap, x: int, y: int) -> tuple[int, int]:

@@ -10,6 +10,13 @@ is ``sigma = alpha o gamma``, and two maps are equal exactly when they have
 the same interior sizes and the same pairing (labelled equality; no
 automorphism quotient is taken).
 
+Inside a block ``gamma(h) = h + 1``, so ``sigma`` is read from slices of
+``alpha`` without building ``gamma``.  Each map's genus is counted once, from
+the number of ``sigma`` cycles, by a flat walk over a ``bytearray`` that
+stores no cycle.  The vertex of each half-edge
+(:attr:`CellularMap.vertex_of`) and the cycle tuples
+(:attr:`CellularMap.vertex_cycles`) are built only when a caller asks.
+
 Storing ``alpha`` as a partner array over a dense id range gives O(1) edge
 lookups and keeps exhaustive enumeration cache friendly.
 """
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -87,6 +94,9 @@ class FaceStructure:
     """
 
     interior_sizes: tuple[int, ...]
+    # Derived from ``interior_sizes`` once, in ``__post_init__``.
+    k: int = field(init=False, repr=False, compare=False)
+    total_half_edges: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.interior_sizes)
@@ -95,14 +105,8 @@ class FaceStructure:
             raise ValidationError(f"face count must be between 1 and 3, got {len(sizes)}")
         if any(s < 0 for s in sizes):
             raise ValidationError(f"interior sizes must be non-negative, got {sizes}")
-
-    @property
-    def k(self) -> int:
-        return len(self.interior_sizes)
-
-    @property
-    def total_half_edges(self) -> int:
-        return sum(self.interior_sizes) + 2 * self.k
+        object.__setattr__(self, "k", len(sizes))
+        object.__setattr__(self, "total_half_edges", sum(sizes) + 2 * len(sizes))
 
     @cached_property
     def block_starts(self) -> tuple[int, ...]:
@@ -176,7 +180,8 @@ class CellularMap:
 
     @property
     def np_edge_count(self) -> int:
-        return self.n_edges - self.k
+        faces = self.faces
+        return faces.total_half_edges // 2 - faces.k
 
     @property
     def plants(self) -> tuple[int, ...]:
@@ -187,20 +192,15 @@ class CellularMap:
         return self.faces.np_ids
 
     @cached_property
-    def gamma(self) -> tuple[int, ...]:
-        return self.faces.gamma
-
-    @cached_property
     def sigma(self) -> tuple[int, ...]:
         """Vertex permutation ``alpha o gamma``; fixes every plant."""
-        alpha = self.alpha
-        return tuple(alpha[t] for t in self.faces.gamma)
+        return _sigma(self.faces, self.alpha)
 
     @cached_property
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of ``sigma``, each rotated to start at its minimum id and
         listed in order of that minimum.  Plants appear as singletons."""
-        sigma = self.sigma
+        sigma = _sigma(self.faces, self.alpha)
         total = self.total_half_edges
         seen = bytearray(total)
         cycles = []
@@ -217,12 +217,42 @@ class CellularMap:
         return tuple(cycles)
 
     @cached_property
+    def vertex_count(self) -> int:
+        """Number of vertices (``sigma`` cycles, plants included): the
+        length of :attr:`vertex_cycles` when those are cached, otherwise
+        counted by the same walk without storing a cycle."""
+        cycles = self.__dict__.get("vertex_cycles")  # the cached_property's slot
+        if cycles is not None:
+            return len(cycles)
+        sigma = _sigma(self.faces, self.alpha)
+        seen = bytearray(len(sigma))
+        count = 0
+        for start in range(len(sigma)):
+            if seen[start]:
+                continue
+            count += 1
+            h = start
+            while not seen[h]:
+                seen[h] = 1
+                h = sigma[h]
+        return count
+
+    @cached_property
     def vertex_of(self) -> tuple[int, ...]:
-        """For each half-edge, the index of its vertex cycle."""
-        idx = [0] * self.total_half_edges
-        for i, cyc in enumerate(self.vertex_cycles):
-            for h in cyc:
-                idx[h] = i
+        """For each half-edge, the index of its cycle in
+        :attr:`vertex_cycles`, labelled by the same walk without building
+        the cycles."""
+        sigma = _sigma(self.faces, self.alpha)
+        idx = [-1] * len(sigma)
+        v = 0
+        for start in range(len(sigma)):
+            if idx[start] >= 0:
+                continue
+            h = start
+            while idx[h] < 0:
+                idx[h] = v
+                h = sigma[h]
+            v += 1
         return tuple(idx)
 
     @cached_property
@@ -258,14 +288,15 @@ class CellularMap:
         genus-sum bookkeeping quantity (may be negative) used by the cutting
         and gluing surgeries.
         """
-        defect = 2 - len(self.vertex_cycles) + self.n_edges - self.k
+        faces = self.faces
+        defect = 2 - self.vertex_count + faces.total_half_edges // 2 - faces.k
         if defect % 2:
             raise OddEulerDefect(f"odd Euler defect {defect}; invalid map")
         return defect // 2
 
     def genus(self) -> int:
         """Topological genus via ``2 - 2g = V - E + k`` (plants included)."""
-        if not self.is_connected:
+        if self.faces.k > 1 and not self.is_connected:  # one face: always connected
             raise Disconnected("genus requires a connected map")
         g = self.aggregate_genus()
         if g < 0:
@@ -307,6 +338,17 @@ class CellularMap:
             f"({h},{p})" for h, p in enumerate(self.alpha) if h < p and h not in self.faces.roots
         )
         return f"CellularMap(interiors={self.faces.interior_sizes}, pairs=[{pairs}])"
+
+
+def _sigma(faces: FaceStructure, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """``alpha o gamma`` from slices of ``alpha``, with no ``gamma``: block
+    ``R_i..S_i`` reads ``alpha(R_i + 1), ..., alpha(S_i), alpha(R_i)``."""
+    if faces.k == 1:
+        return alpha[1:] + alpha[:1]
+    out: tuple[int, ...] = ()
+    for r, s in zip(faces.roots, faces.plants):
+        out += alpha[r + 1 : s + 1] + (alpha[r],)
+    return out
 
 
 def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> CellularMap:
@@ -448,11 +490,11 @@ def decode(text: str) -> CellularMap:
         raise ParseError("interiors must be a list of integers")
     if type(k) is not int or k != len(interiors):
         raise ParseError("k must equal the number of interior sizes")
-    if not isinstance(alpha_pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-        for p in alpha_pairs
-    ):
+    if not isinstance(alpha_pairs, list):
         raise ParseError("alpha must be a list of id pairs")
+    for p in alpha_pairs:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            raise ParseError("alpha must be a list of id pairs")
     faces = FaceStructure(tuple(interiors))
     total = faces.total_half_edges
     # Checked before the partner array is allocated from ``interiors``.

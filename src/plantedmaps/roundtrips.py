@@ -37,33 +37,42 @@ BIJECTION_NAMES = (
 
 
 @lru_cache(maxsize=None)
+def _by_genus(k: int, n: int) -> dict[int, tuple[CellularMap, ...]]:
+    """One pass over the census stream of ``k``-face maps with ``n`` edges,
+    bucketed by genus in stream order.  The three-face pass keeps the
+    disconnected maps and buckets by aggregate genus."""
+    census.check_bound(("uni", "bi", "tri")[k - 1], n)
+    buckets: dict[int, list[CellularMap]] = {}
+    if k == 3:
+        for m in census.tricellular_stream(n, connected_only=False):
+            buckets.setdefault(m.aggregate_genus(), []).append(m)
+    else:
+        stream = census.unicellular_stream(n) if k == 1 else census.bicellular_stream(n)
+        for m in stream:
+            buckets.setdefault(m.genus(), []).append(m)
+    return {g: tuple(ms) for g, ms in buckets.items()}
+
+
+@lru_cache(maxsize=None)
 def uni_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
-    census.check_bound("unicellular", n)
-    return tuple(m for m in census.unicellular_stream(n) if m.genus() == genus)
+    return _by_genus(1, n).get(genus, ())
 
 
 @lru_cache(maxsize=None)
 def bi_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
-    census.check_bound("bicellular", n)
-    return tuple(m for m in census.bicellular_stream(n) if m.genus() == genus)
+    return _by_genus(2, n).get(genus, ())
 
 
 @lru_cache(maxsize=None)
 def tri_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
-    census.check_bound("tricellular", n)
-    return tuple(m for m in census.tricellular_stream(n) if m.genus() == genus)
+    return tuple(m for m in three_face_maps(genus, n) if m.is_connected)
 
 
 @lru_cache(maxsize=None)
 def three_face_maps(aggregate_genus: int, n: int) -> tuple[CellularMap, ...]:
     """All planted three-face maps (connected or not) with the given
     aggregate genus; the codomain of the cut surgery."""
-    census.check_bound("tricellular", n)
-    return tuple(
-        m
-        for m in census.tricellular_stream(n, connected_only=False)
-        if m.aggregate_genus() == aggregate_genus
-    )
+    return _by_genus(3, n).get(aggregate_genus, ())
 
 
 @lru_cache(maxsize=None)

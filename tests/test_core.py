@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
 from conftest import mk, uni
 from plantedmaps.core import (
+    CellularMap,
     Disconnected,
     FaceStructure,
     HasFixedPoint,
@@ -18,7 +20,7 @@ from plantedmaps.core import (
     from_np_pairs,
     validate,
 )
-from plantedmaps.census import unicellular_stream
+from plantedmaps.census import bicellular_stream, tricellular_stream, unicellular_stream
 
 EPS = uni(0)
 PENDANT = uni(1, (1, 2))
@@ -208,6 +210,15 @@ def test_decode_errors():
         decode('{"k":1,"interiors":[2],"alpha":[[0,1],[2,3]]}')
 
 
+def test_decode_reports_pair_shape_before_size():
+    for pairs in ('[[0,3],[1,2,5]]', '[[0,3],[1]]', '[[0,3],{"a":1}]', '[[0,3],[1,2.0]]', '[[0,3],[1,"2"]]'):
+        # Four interior ids need three pairs: the size is wrong too.
+        with pytest.raises(ParseError):
+            decode('{"k":1,"interiors":[4],"alpha":%s}' % pairs)
+    with pytest.raises(SizeMismatch):
+        decode('{"k":1,"interiors":[4],"alpha":[[0,5],[1,2]]}')
+
+
 def test_decode_rejects_json_booleans():
     for doc in (
         '{"k": true, "interiors": [0], "alpha": [[0, true]]}',
@@ -293,3 +304,40 @@ def test_malformed_alpha_raises_one_class(case, entry):
             decode(json.dumps({"k": 1, "interiors": [4], "alpha": doc_alpha}))
         else:
             from_np_pairs((4,), np_pairs)
+
+
+def _check_flat_genus(m):
+    """The flat vertex count and the vertex labels against the cycles of
+    ``sigma``, and ``sigma`` against ``alpha o gamma`` composed here."""
+    reference = tuple(m.alpha[t] for t in m.faces.gamma)
+    flat_first = CellularMap(m.faces, m.alpha)
+    cycles_first = CellularMap(m.faces, m.alpha)
+    cycles = cycles_first.vertex_cycles
+    defect = 2 - len(cycles) + m.n_edges - m.k
+    assert defect % 2 == 0
+    assert flat_first.aggregate_genus() == defect // 2 == cycles_first.aggregate_genus()
+    assert flat_first.vertex_cycles == cycles
+    assert all(flat_first.vertex_of[h] == i for i, c in enumerate(cycles) for h in c)
+    assert sorted(h for c in cycles for h in c) == list(range(m.total_half_edges))
+    for c in cycles:
+        assert all(reference[h] == c[(i + 1) % len(c)] for i, h in enumerate(c))
+    assert flat_first.sigma == reference
+
+
+def test_flat_genus_matches_the_vertex_cycles_over_the_census():
+    maps = [m for n in range(6) for m in unicellular_stream(n)]
+    for n in range(4):
+        maps += bicellular_stream(n, connected_only=False)
+        maps += tricellular_stream(n, connected_only=False)
+    assert any(m.aggregate_genus() < 0 for m in maps)  # disconnected maps are in
+    for m in maps:
+        _check_flat_genus(m)
+
+
+@pytest.mark.parametrize("n", [20, 60, 120, 200])
+def test_flat_genus_matches_the_vertex_cycles_on_random_maps(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        ids = list(range(1, 2 * n + 1))
+        rng.shuffle(ids)
+        _check_flat_genus(uni(n, *zip(ids[0::2], ids[1::2])))
