@@ -145,9 +145,14 @@ def glue(x: CellularMap) -> CellularMap:
     return out
 
 
-# One layout per interior size, shared by the maps built below; bounded,
-# since random inputs bring a new size with every map.
-_one_face_layout = lru_cache(maxsize=32)(lambda size: FaceStructure((size,)))
+@lru_cache(maxsize=4)
+def _one_face_layout(size: int) -> FaceStructure:
+    """One layout per interior size, shared by the maps built below.  The
+    round trips at one (g, n) build three consecutive even sizes, and a
+    random map and its surgeries at most three, one of which the next map
+    shares; four slots keep them all, and random inputs bring a new size
+    with every map, so the cache is bounded."""
+    return FaceStructure((size,))
 
 
 def _one_face(u: CellularMap, seq, fresh=()) -> CellularMap:

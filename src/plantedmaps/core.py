@@ -12,10 +12,11 @@ automorphism quotient is taken).
 
 Inside a block ``gamma(h) = h + 1``, so ``sigma`` is read from slices of
 ``alpha`` without building ``gamma``.  Each map's genus is counted once, from
-the number of ``sigma`` cycles, by a flat walk over a ``bytearray`` that
-stores no cycle.  The vertex of each half-edge
-(:attr:`CellularMap.vertex_of`) and the cycle tuples
-(:attr:`CellularMap.vertex_cycles`) are built only when a caller asks.
+the number of ``sigma`` cycles, by a flat walk that labels each half-edge
+with its cycle and stores no cycle.  The labels
+(:attr:`CellularMap.vertex_of`) are kept only when a caller asks for them,
+and the cycle tuples (:attr:`CellularMap.vertex_cycles`) are built only for
+``show``.
 
 Storing ``alpha`` as a partner array over a dense id range gives O(1) edge
 lookups and keeps exhaustive enumeration cache friendly.
@@ -200,7 +201,7 @@ class CellularMap:
     def vertex_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of ``sigma``, each rotated to start at its minimum id and
         listed in order of that minimum.  Plants appear as singletons."""
-        sigma = _sigma(self.faces, self.alpha)
+        sigma = self.sigma
         total = self.total_half_edges
         seen = bytearray(total)
         cycles = []
@@ -218,42 +219,15 @@ class CellularMap:
 
     @cached_property
     def vertex_count(self) -> int:
-        """Number of vertices (``sigma`` cycles, plants included): the
-        length of :attr:`vertex_cycles` when those are cached, otherwise
-        counted by the same walk without storing a cycle."""
-        cycles = self.__dict__.get("vertex_cycles")  # the cached_property's slot
-        if cycles is not None:
-            return len(cycles)
-        sigma = _sigma(self.faces, self.alpha)
-        seen = bytearray(len(sigma))
-        count = 0
-        for start in range(len(sigma)):
-            if seen[start]:
-                continue
-            count += 1
-            h = start
-            while not seen[h]:
-                seen[h] = 1
-                h = sigma[h]
-        return count
+        """Number of vertices (``sigma`` cycles, plants included), counted
+        by :func:`_label_vertices` without storing a cycle."""
+        return _label_vertices(_sigma(self.faces, self.alpha))[1]
 
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
         """For each half-edge, the index of its cycle in
-        :attr:`vertex_cycles`, labelled by the same walk without building
-        the cycles."""
-        sigma = _sigma(self.faces, self.alpha)
-        idx = [-1] * len(sigma)
-        v = 0
-        for start in range(len(sigma)):
-            if idx[start] >= 0:
-                continue
-            h = start
-            while idx[h] < 0:
-                idx[h] = v
-                h = sigma[h]
-            v += 1
-        return tuple(idx)
+        :attr:`vertex_cycles`, labelled without building the cycles."""
+        return tuple(_label_vertices(_sigma(self.faces, self.alpha))[0])
 
     @cached_property
     def is_connected(self) -> bool:
@@ -296,7 +270,7 @@ class CellularMap:
 
     def genus(self) -> int:
         """Topological genus via ``2 - 2g = V - E + k`` (plants included)."""
-        if self.faces.k > 1 and not self.is_connected:  # one face: always connected
+        if not self.is_connected:
             raise Disconnected("genus requires a connected map")
         g = self.aggregate_genus()
         if g < 0:
@@ -349,6 +323,23 @@ def _sigma(faces: FaceStructure, alpha: tuple[int, ...]) -> tuple[int, ...]:
     for r, s in zip(faces.roots, faces.plants):
         out += alpha[r + 1 : s + 1] + (alpha[r],)
     return out
+
+
+def _label_vertices(sigma: Sequence[int]) -> tuple[list[int], int]:
+    """Label each half-edge with the index of its ``sigma`` cycle, cycles
+    numbered in order of their minimum id; return the labels and the number
+    of cycles.  The walk the genus and ``vertex_of`` share."""
+    idx = [-1] * len(sigma)
+    v = 0
+    for start in range(len(sigma)):
+        if idx[start] >= 0:
+            continue
+        h = start
+        while idx[h] < 0:
+            idx[h] = v
+            h = sigma[h]
+        v += 1
+    return idx, v
 
 
 def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> CellularMap:
