@@ -3,10 +3,22 @@
 One enumerator, :func:`_pairings`, walks the perfect matchings of the
 non-plant half-edges of a face layout in lexicographic order: the smallest
 unmatched id is paired with each larger unmatched id in ascending order.
-:func:`count` and the three map streams share it, so streams are
-reproducible and duplicate free and the counts tally exactly what the
-streams yield; :func:`_genus_pairings` adds the genera that :func:`count`
-and the partition histogram read without building maps.  Counting is exact.
+The three map streams share it, so streams are reproducible and duplicate
+free; :func:`_genus_pairings` adds the genus of each one-face pairing for
+the partition histogram without building maps.
+
+:func:`count` visits no matching.  It scans the half-edge positions of every
+face layout at once (a transfer-matrix pass) and merges the pairings that
+agree on everything the rest of the scan can see.  Vertices are the cycles
+of ``sigma(h) = alpha(h + 1)``; a pairing read up to some position leaves
+open sigma-paths between the ends of its open chords.  A state records, for
+each path end (each open chord's A end, then the frontier at the current
+position), the start that path began at: 0 for the current face's root
+in-port, ``j + 1`` for open chord ``j``'s B end.  With two or more faces it
+also records each open chord's face component and the current face's,
+relabelled by first appearance, so that disconnected maps drop out.  Each
+state carries its count of pairings per number of sigma-cycles closed.
+Counting is exact.
 """
 
 from __future__ import annotations
@@ -14,10 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure
+from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, check_invariant
 
-#: Default per-kind bounds on the non-plant edge count (desk scale).
-N_MAX = {"unicellular": 8, "bicellular": 6, "tricellular": 5}
+#: Per-kind bounds on the non-plant edge count of :func:`count` (desk scale).
+N_MAX = {"unicellular": 11, "bicellular": 9, "tricellular": 8}
+
+#: Bounds for the computations that build or classify every map: the
+#: round-trip domains, the partition histogram and the theorem check.
+ENUMERATION_N_MAX = {"unicellular": 8, "bicellular": 6, "tricellular": 5}
 
 _KIND_ALIASES = {
     "uni": "unicellular",
@@ -36,12 +52,12 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown map kind {kind!r}; use uni, bi or tri") from None
 
 
-def check_bound(kind: str, n: int) -> str:
+def check_bound(kind: str, n: int, bounds: dict[str, int] = N_MAX) -> str:
     kind = normalize_kind(kind)
     if n < 0:
         raise BoundExceeded("edge count must be non-negative")
-    if n > N_MAX[kind]:
-        raise BoundExceeded(f"{kind} census is bounded at n <= {N_MAX[kind]}, got {n}")
+    if n > bounds[kind]:
+        raise BoundExceeded(f"{kind} census is bounded at n <= {bounds[kind]}, got {n}")
     return kind
 
 
@@ -138,44 +154,98 @@ def tricellular_stream(n: int, connected_only: bool = True) -> Iterator[Cellular
     yield from _cellular_stream(3, n, connected_only)
 
 
-def _genus_pairings(faces: FaceStructure) -> Iterator[tuple[int, list[int]]]:
-    """``(genus, partner)`` for every connected pairing of ``faces``, with
-    :func:`_pairings`' in-place list.  The genus counts the cycles of
-    ``sigma = partner o gamma``, which fixes each plant (gamma takes it to
-    its root); for k >= 2 a search skips disconnected pairings."""
-    total = faces.total_half_edges
-    k = faces.k
-    gamma = faces.gamma
-    n_edges = total // 2
-    seen = [0] * total
+def _genus_pairings(n: int) -> Iterator[tuple[int, list[int]]]:
+    """``(genus, partner)`` for every one-face pairing with ``n`` non-plant
+    edges, in :func:`_pairings` order and with its in-place list.  The genus
+    counts the cycles of ``sigma(h) = partner[h + 1]`` below the plant,
+    which sigma fixes."""
+    last = 2 * n  # the id before the plant
+    seen = [0] * (last + 1)
     stamp = 0
-    starts = faces.roots + faces.np_ids  # the plants are the k fixed points
-    for partner in _pairings(faces):
+    for partner in _pairings(FaceStructure((last,))):
         stamp += 1
-        cycles = k
-        for s0 in starts:
+        cycles = 1
+        for s0 in range(last + 1):
             if seen[s0] == stamp:
                 continue
             cycles += 1
             h = s0
             while seen[h] != stamp:
                 seen[h] = stamp
-                h = partner[gamma[h]]
-        if k > 1:
-            stamp += 1
-            seen[0] = stamp
-            stack = [0]
-            reached = 1
-            while stack:
-                h = stack.pop()
-                for t in (partner[h], partner[gamma[h]]):
-                    if seen[t] != stamp:
-                        seen[t] = stamp
-                        reached += 1
-                        stack.append(t)
-            if reached != total:
-                continue
-        yield (2 - cycles + n_edges - k) // 2, partner
+                h = partner[h + 1]
+        yield (2 - cycles + n) // 2, partner
+
+
+def _merge(layer: dict, key, counts: list[int], closed: int) -> None:
+    """Add ``counts``, moved up by ``closed`` cycles, to ``layer[key]``."""
+    cur = layer.get(key)
+    if cur is None:
+        layer[key] = [0] * closed + counts
+        return
+    grow = len(counts) + closed - len(cur)
+    if grow > 0:
+        cur.extend([0] * grow)
+    for i, c in enumerate(counts, closed):
+        cur[i] += c
+
+
+def _join(ends: list[int], start: int) -> int:
+    """Join the frontier's path (the last end) to the path that began at
+    ``start``; return 1 when that closes a cycle, else 0."""
+    front = ends[-1]
+    if front == start:
+        return 1
+    ends[ends.index(start)] = front
+    return 0
+
+
+def _cycle_census(k: int, n: int) -> list[int]:
+    """Connected ``k``-face pairings with ``n`` non-plant edges, summed over
+    every face layout, counted by the number of sigma-cycles closed before
+    the last face ends.
+
+    ``layers[b]`` maps each state ``(ends, labels)`` with ``b + 1`` faces
+    begun to its counts.  Before each position any face but the last may
+    end, which folds every layout of ``compositions(2n, k)`` into the pass.
+    """
+    span = 2 * n
+    layers: list[dict] = [{} for _ in range(k)]
+    layers[0][(0,), (0,)] = [1]
+    for pos in range(span + 1):
+        for b in range(k - 1):
+            for (ends, labels), counts in layers[b].items():
+                m = len(ends) - 1
+                if labels[m] not in labels[:m]:
+                    continue  # no open chord can join this face to a later one
+                path = list(ends)
+                closed = _join(path, 0)
+                path[m] = 0  # the next face's root in-port
+                key = (tuple(path), labels[:m] + (max(labels) + 1,))
+                _merge(layers[b + 1], key, counts, closed)
+        if pos == span:
+            break
+        room = span - pos - 1
+        step: list[dict] = [{} for _ in range(k)]
+        for layer, out in zip(layers, step):
+            for (ends, labels), counts in layer.items():
+                m = len(ends) - 1
+                if m < room:  # room left to close the new chord too
+                    _merge(out, (ends + (m + 1,), labels + labels[m:]), counts, 0)
+                face = labels[m]
+                for j in range(m):
+                    path = list(ends)
+                    closed = _join(path, j + 1)
+                    path[-1] = path.pop(j)
+                    key_ends = tuple(x - 1 if x > j + 1 else x for x in path)
+                    merged = [face if x == labels[j] else x for x in labels]
+                    del merged[j]
+                    first: dict[int, int] = {}  # relabel by first appearance
+                    key_labels = tuple(first.setdefault(x, len(first)) for x in merged)
+                    _merge(out, (key_ends, key_labels), counts, closed)
+        layers = step
+    # Every chord is closed by now, so one state is left: the last face's
+    # frontier path, which its end closes.
+    return layers[k - 1].get(((0,), (0,)), [])
 
 
 @dataclass
@@ -226,9 +296,12 @@ def count(kind: str, n: int) -> CountTable:
     kind = check_bound(kind, n)
     k = {"unicellular": 1, "bicellular": 2, "tricellular": 3}[kind]
     tally = [0] * (n // 2 + 1)
-    for comp in compositions(2 * n, k):
-        for g, _ in _genus_pairings(FaceStructure(comp)):
-            tally[g] += 1
+    for closed, c in enumerate(_cycle_census(k, n)):
+        if c:
+            # sigma has k fixed plants and closed + 1 further cycles
+            two_g = n + 1 - k - closed
+            check_invariant(two_g >= 0 and two_g % 2 == 0, f"{kind} census: 2g = {two_g}")
+            tally[two_g // 2] += c
     return CountTable(kind, {(g, n): c for g, c in enumerate(tally)})
 
 

@@ -232,8 +232,9 @@ def check_theorem_bound(n: int) -> None:
     before any work is done."""
     from plantedmaps import census
 
-    if n > census.N_MAX["tricellular"] or n + 2 > census.N_MAX["unicellular"]:
-        raise BoundExceeded(f"theorem check bounded at n <= {census.N_MAX['tricellular']}")
+    bounds = census.ENUMERATION_N_MAX
+    if n > bounds["tricellular"] or n + 2 > bounds["unicellular"]:
+        raise BoundExceeded(f"theorem check bounded at n <= {bounds['tricellular']}")
 
 
 def verify_theorem(g: int, n: int) -> dict:

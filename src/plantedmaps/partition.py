@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import N_MAX, _genus_pairings
-from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, MapError
+from plantedmaps.census import ENUMERATION_N_MAX, _genus_pairings
+from plantedmaps.core import BoundExceeded, CellularMap, MapError
 from plantedmaps.core import ValidationError, check_invariant
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
@@ -259,7 +259,7 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     non-plant edges, counted per ``(genus, domain)`` for the leaves and
     :data:`PENDANT_DOMAINS`.  Reads the census partner lists directly."""
     counts: dict[tuple[int, str], int] = {}
-    for g, partner in _genus_pairings(FaceStructure((2 * total_np,))):
+    for g, partner in _genus_pairings(total_np):
         for dom in domains(_classify(partner)):
             counts[g, dom] = counts.get((g, dom), 0) + 1
     return counts
@@ -274,8 +274,8 @@ def histogram(g: int, n: int) -> PartitionHistogram:
     """
     if g < 0 or n < 0:
         raise BoundExceeded("g and n must be non-negative")
-    if n + 2 > N_MAX["unicellular"]:
-        raise BoundExceeded(f"histogram bounded at n <= {N_MAX['unicellular'] - 2}")
+    if n + 2 > ENUMERATION_N_MAX["unicellular"]:
+        raise BoundExceeded(f"histogram bounded at n <= {ENUMERATION_N_MAX['unicellular'] - 2}")
     counts = _census_class_counts(n + 2)
     classes = {leaf: counts.get((g + 2, leaf), 0) for leaf in LEAVES}
     pendants = (counts.get((g + 2, dom), 0) for dom in PENDANT_DOMAINS)

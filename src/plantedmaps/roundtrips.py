@@ -41,7 +41,7 @@ def _by_genus(k: int, n: int) -> dict[int, tuple[CellularMap, ...]]:
     """One pass over the census stream of ``k``-face maps with ``n`` edges,
     bucketed by genus in stream order.  The three-face pass keeps the
     disconnected maps and buckets by aggregate genus."""
-    census.check_bound(("uni", "bi", "tri")[k - 1], n)
+    census.check_bound(("uni", "bi", "tri")[k - 1], n, census.ENUMERATION_N_MAX)
     buckets: dict[int, list[CellularMap]] = {}
     if k == 3:
         for m in census.tricellular_stream(n, connected_only=False):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from plantedmaps import bijections, partition
+from plantedmaps import bijections, census, partition
 from plantedmaps.cli import main
 from plantedmaps.core import InvariantError, from_np_pairs
 
@@ -51,7 +51,7 @@ def test_count_json_format(capsys):
 
 
 def test_count_bound_exit_2(capsys):
-    code, _, err = run(capsys, "count", "--kind", "uni", "--edges", "9")
+    code, _, err = run(capsys, "count", "--kind", "uni", "--edges", "12")
     assert code == 2
     assert "error" in err
 
@@ -217,6 +217,30 @@ def test_theorem_bound_is_checked_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(partition, "histogram", histogram)
     code, out, err = run(capsys, "verify", "--relation", "theorem", "--max-n", "6")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--kind", "bi", "--edges", "10"),
+        ("count", "--kind", "tri", "--edges", "9"),
+        ("verify", "--relation", "hz", "--max-n", "12"),
+        ("verify", "--relation", "bicellular", "--max-n", "10"),
+        ("classify", "--genus", "2", "--edges", "9"),
+        ("verify", "--relation", "theorem", "--max-n", "6"),
+        ("roundtrip", "--bijection", "cut", "--g", "0", "--n", "7"),
+    ],
+    ids=["count-bi", "count-tri", "hz", "bicellular", "classify", "theorem", "roundtrip"],
+)
+def test_bounds_are_checked_before_any_work(capsys, monkeypatch, argv):
+    # The enumerating commands keep their bounds below the count bounds.
+    def work(*_):
+        pytest.fail(f"{argv[0]} started counting before checking its bound")
+
+    monkeypatch.setattr(census, "_pairings", work)
+    monkeypatch.setattr(census, "_cycle_census", work)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
