@@ -204,48 +204,58 @@ def _cycle_census(k: int, n: int) -> list[int]:
     every face layout, counted by the number of sigma-cycles closed before
     the last face ends.
 
-    ``layers[b]`` maps each state ``(ends, labels)`` with ``b + 1`` faces
-    begun to its counts.  Before each position any face but the last may
-    end, which folds every layout of ``compositions(2n, k)`` into the pass.
+    A state with ``m`` open chords is ``2(m + 1)`` bytes: the start of each
+    path end, then the face-component label of each open chord and of the
+    current face (all 0 on one face).  Bytes keep the many short-lived keys
+    compact; every value is at most ``max(n, k)``.  ``layers[b]`` maps each
+    state with ``b + 1`` faces begun to its counts.  Before each position
+    any face but the last may end, which folds every layout of
+    ``compositions(2n, k)`` into the pass.
     """
     span = 2 * n
-    layers: list[dict] = [{} for _ in range(k)]
-    layers[0][(0,), (0,)] = [1]
+    layers: list[dict[bytes, list[int]]] = [{} for _ in range(k)]
+    layers[0][b"\0\0"] = [1]
     for pos in range(span + 1):
         for b in range(k - 1):
-            for (ends, labels), counts in layers[b].items():
-                m = len(ends) - 1
+            for state, counts in layers[b].items():
+                m = len(state) // 2 - 1
+                labels = state[m + 1 :]
                 if labels[m] not in labels[:m]:
                     continue  # no open chord can join this face to a later one
-                path = list(ends)
-                closed = _join(path, 0)
-                path[m] = 0  # the next face's root in-port
-                key = (tuple(path), labels[:m] + (max(labels) + 1,))
-                _merge(layers[b + 1], key, counts, closed)
+                key = list(state[: m + 1])
+                closed = _join(key, 0)
+                key[m] = 0  # the next face's root in-port
+                key += labels[:m]
+                key.append(max(labels) + 1)
+                _merge(layers[b + 1], bytes(key), counts, closed)
         if pos == span:
             break
         room = span - pos - 1
-        step: list[dict] = [{} for _ in range(k)]
+        step: list[dict[bytes, list[int]]] = [{} for _ in range(k)]
         for layer, out in zip(layers, step):
-            for (ends, labels), counts in layer.items():
-                m = len(ends) - 1
+            for state, counts in layer.items():
+                m = len(state) // 2 - 1
+                ends, labels = state[: m + 1], state[m + 1 :]
                 if m < room:  # room left to close the new chord too
-                    _merge(out, (ends + (m + 1,), labels + labels[m:]), counts, 0)
+                    _merge(out, ends + bytes((m + 1,)) + labels + labels[m:], counts, 0)
                 face = labels[m]
                 for j in range(m):
                     path = list(ends)
                     closed = _join(path, j + 1)
                     path[-1] = path.pop(j)
-                    key_ends = tuple(x - 1 if x > j + 1 else x for x in path)
-                    merged = [face if x == labels[j] else x for x in labels]
-                    del merged[j]
-                    first: dict[int, int] = {}  # relabel by first appearance
-                    key_labels = tuple(first.setdefault(x, len(first)) for x in merged)
-                    _merge(out, (key_ends, key_labels), counts, closed)
+                    key = [x - 1 if x > j + 1 else x for x in path]
+                    # chord j's component joins the face's; relabel by first appearance
+                    first: dict[int, int] = {}
+                    key += [
+                        first.setdefault(face if x == labels[j] else x, len(first))
+                        for i, x in enumerate(labels)
+                        if i != j
+                    ]
+                    _merge(out, bytes(key), counts, closed)
         layers = step
     # Every chord is closed by now, so one state is left: the last face's
     # frontier path, which its end closes.
-    return layers[k - 1].get(((0,), (0,)), [])
+    return layers[k - 1].get(b"\0\0", [])
 
 
 @dataclass
