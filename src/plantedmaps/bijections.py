@@ -15,29 +15,32 @@ Five primitives cover everything:
 
 The class bijections eta1..eta7 are contractions at forced positions, the
 three-face bijection theta is cut followed by relabelling, and the split/join
-pair separates closed branches into independent pieces.  The one-face
-surgeries contract, insert_edge, delete_pair and insert_pair each write
-their new face word through ``_one_face``; cut, glue and split5 go through
-the validating :func:`~plantedmaps.core.canonicalize`.  Every operation
-checks its genus and edge-count bookkeeping, raising
-:class:`~plantedmaps.core.InvariantError` on a mismatch; outputs are
-canonical maps.
+pair separates closed branches into independent pieces.  Every surgery that
+builds a map writes its output as face words over the input's half-edges
+(new half-edges are ids past the input's) and hands them to one builder,
+``_build``, which relabels each id by its position in the words.  The
+builder checks that no id repeats, that the words are closed under the
+pairing and that each root is paired with its plant; every operation also
+checks its genus and edge-count bookkeeping.  All of these raise
+:class:`~plantedmaps.core.InvariantError`, also under ``python -O``;
+outputs are canonical maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Sequence
 
 from plantedmaps.core import (
     CellularMap,
     Disconnected,
     FaceStructure,
+    InvariantError,
     MapError,
     ValidationError,
-    canonicalize,
     check_invariant,
-    validate,
 )
 from plantedmaps.partition import (
     PartitionClass,
@@ -91,6 +94,36 @@ class CutResult:
     became_plants: tuple[int, int, int]
 
 
+@lru_cache(maxsize=8)
+def _layout(lengths: tuple[int, ...]) -> FaceStructure:
+    """One layout per tuple of face-word lengths, shared by the maps built
+    below.  Random inputs bring new lengths with every map, so the cache is
+    bounded."""
+    return FaceStructure(tuple(length - 2 for length in lengths))
+
+
+def _build(alpha: Sequence[int], words: Sequence[Sequence[int]]) -> CellularMap:
+    """The map whose faces read ``words``, each from its root to its plant.
+
+    Every id keeps its ``alpha`` partner, relabelled by its position in the
+    concatenated words.  A surgery that adds half-edges gives them the ids
+    past the end of its input's ``alpha`` and appends their partners.  Raises
+    :class:`InvariantError` when an id appears twice, when the words are not
+    closed under ``alpha`` or when a root is not paired with its plant.
+    """
+    seq = words[0] if len(words) == 1 else list(chain.from_iterable(words))
+    new_of = {old: new for new, old in enumerate(seq)}
+    check_invariant(len(new_of) == len(seq), "a half-edge appears in two face positions")
+    try:
+        partner = tuple([new_of[alpha[h]] for h in seq])
+    except KeyError:
+        raise InvariantError("the face words are not closed under the pairing") from None
+    faces = _layout(tuple(map(len, words)))
+    for r, s in zip(faces.roots, faces.plants):
+        check_invariant(partner[r] == s, "a face root is not paired with its plant")
+    return CellularMap(faces, partner)
+
+
 def _cut_cycles(u: CellularMap) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     br = branches(u)
     plant = u.faces.plant(0)
@@ -109,8 +142,7 @@ def cut(u: CellularMap) -> CutResult:
         raise DegenerateM2("root vertex of degree 2 has no second cut pair")
     if prof.third < prof.second:
         raise WrongScenario("cut applies to scenario A only")
-    cycles = _cut_cycles(u)
-    result = canonicalize(3, cycles, dict(enumerate(u.alpha)))
+    result = _build(u.alpha, _cut_cycles(u))
     check_invariant(result.np_edge_count == u.np_edge_count - 2, "cut must remove two edges")
     check_invariant(result.aggregate_genus() == u.genus() - 2, "cut must lower the genus by two")
     return CutResult(result, (prof.second, prof.third, u.faces.plant(0)))
@@ -135,7 +167,7 @@ def glue(x: CellularMap) -> CellularMap:
     blocks = [tuple(range(faces.root(i), faces.plant(i) + 1)) for i in range(3)]
     interior3 = blocks[2][1:-1]
     seq = (faces.root(2),) + blocks[0] + blocks[1] + interior3 + (faces.plant(2),)
-    out = canonicalize(1, (seq,), dict(enumerate(x.alpha)))
+    out = _build(x.alpha, (seq,))
     check_invariant(out.np_edge_count == x.np_edge_count + 2, "glue must add two edges")
     check_invariant(out.genus() == x.aggregate_genus() + 2, "glue must raise the genus by two")
     prof = v1_profile(out)
@@ -143,35 +175,6 @@ def glue(x: CellularMap) -> CellularMap:
         prof.degree >= 3 and prof.third > prof.second, "glue must give a scenario-A map"
     )
     return out
-
-
-@lru_cache(maxsize=4)
-def _one_face_layout(size: int) -> FaceStructure:
-    """One layout per interior size, shared by the maps built below.  The
-    round trips at one (g, n) build three consecutive even sizes, and a
-    random map and its surgeries at most three, one of which the next map
-    shares; four slots keep them all, and random inputs bring a new size
-    with every map, so the cache is bounded."""
-    return FaceStructure((size,))
-
-
-def _one_face(u: CellularMap, seq, fresh=()) -> CellularMap:
-    """The one-face map whose interior reads ``seq`` in face order.
-
-    Every old id in ``seq`` keeps its ``u.alpha`` partner, relabelled by
-    position; ``fresh`` pairs the new tokens of ``seq`` with each other.  The
-    root and plant are implied, so ``seq`` must be closed under the pairing.
-    """
-    new_of = {old: new for new, old in enumerate(seq, start=1)}
-    last = len(seq) + 1
-    partner = [last] + [0] * last
-    for p, q in fresh:
-        partner[new_of[p]], partner[new_of[q]] = new_of[q], new_of[p]
-    alpha = u.alpha
-    for old, new in new_of.items():
-        if not partner[new]:  # fresh tokens are paired already
-            partner[new] = new_of[alpha[old]]
-    return CellularMap(_one_face_layout(len(seq)), tuple(partner))
 
 
 def _marks(u: CellularMap, x: int, y: int) -> tuple[int, int]:
@@ -209,7 +212,7 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
         raise ValidationError(f"({a},{b}) is not an edge of the map")
     if u.vertex_of[a] == u.vertex_of[b]:
         raise SameVertex(f"both ends of ({a},{b}) meet the same vertex")
-    out = _one_face(u, [t for t in range(1, last + 1) if t != a and t != b])
+    out = _build(u.alpha, ([t for t in range(last + 2) if t != a and t != b],))
     check_invariant(out.genus() == u.genus(), "contract must keep the genus")
     return out, (a - 1, b - 2)
 
@@ -227,8 +230,10 @@ def insert_edge(u: CellularMap, x: int, y: int) -> CellularMap:
     x, y = _marks(u, x, y)
     if u.vertex_of[x] != u.vertex_of[y]:
         raise ValidationError("marks must lie in one vertex")
-    interior = range(1, 2 * u.np_edge_count + 1)
-    out = _one_face(u, [*interior[:x], "A", *interior[x:y], "B", *interior[y:]], [("A", "B")])
+    ids = range(2 * u.np_edge_count + 2)
+    a = len(u.alpha)  # the new pair is (a, a + 1)
+    word = [*ids[: x + 1], a, *ids[x + 1 : y + 1], a + 1, *ids[y + 1 :]]
+    out = _build(u.alpha + (a + 1, a), (word,))
     check_invariant(out.genus() == u.genus(), "insert_edge must keep the genus")
     return out
 
@@ -257,12 +262,7 @@ def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
     k1 = list(range(2, h3))
     k2 = list(range(h3 + 1, h2))
     k3 = list(range(h2 + 2, last + 1))
-    removed = {1, h2, h3, h2 + 1}
-    seq = k2 + k1 + k3
-    check_invariant(
-        all(u.alpha[h] not in removed for h in seq), "delete_pair must remove whole pairs"
-    )
-    out = _one_face(u, seq)
+    out = _build(u.alpha, ([0, *k2, *k1, *k3, last + 1],))
     check_invariant(out.genus() == u.genus() - 1, "delete_pair must lower the genus by one")
     return out, (len(k2), len(k2) + len(k1))
 
@@ -278,10 +278,12 @@ def insert_pair(u: CellularMap, a: int, b: int) -> CellularMap:
     if u.k != 1:
         raise ValidationError("insert_pair expects a one-face map")
     a, b = _marks(u, a, b)
-    interior = range(1, 2 * u.np_edge_count + 1)
+    last = 2 * u.np_edge_count
+    interior = range(1, last + 1)
     P, Q, T = interior[:a], interior[a:b], interior[b:]
-    seq = ["A2", *Q, "H3", *P, "H2", "A3", *T]
-    out = _one_face(u, seq, [("A2", "H2"), ("H3", "A3")])
+    A2, H2, H3, A3 = range(len(u.alpha), len(u.alpha) + 4)
+    word = [0, A2, *Q, H3, *P, H2, A3, *T, last + 1]
+    out = _build(u.alpha + (H2, A2, A3, H3), (word,))
     check_invariant(classify(out).leaf == "B", "insert_pair must give a class-B map")
     check_invariant(out.genus() == u.genus() + 1, "insert_pair must raise the genus by one")
     return out
@@ -384,13 +386,6 @@ def theta_inv(t: CellularMap) -> CellularMap:
     return out
 
 
-def _restrict_alpha(x: CellularMap, ids: tuple[int, ...]) -> dict[int, int]:
-    sub = {h: x.alpha[h] for h in ids}
-    if any(p not in sub for p in sub.values()):
-        raise ValidationError("face set is not closed under the pairing")
-    return sub
-
-
 def split5(i: int, u: CellularMap):
     """Separate the closed branches of an F5 map into independent pieces.
 
@@ -405,17 +400,12 @@ def split5(i: int, u: CellularMap):
         raise WrongClass(f"split5({i}) applies to class F5{i}, got {pc.leaf}")
     cycles = _cut_cycles(u)
     if i == 4:
-        pieces = tuple(
-            canonicalize(1, (c,), _restrict_alpha(u, tuple(c))) for c in cycles
-        )
+        pieces = tuple(_build(u.alpha, (c,)) for c in cycles)
         check_invariant(all(p.np_edge_count >= 1 for p in pieces), "split5 gave a trivial piece")
         check_invariant(sum(p.genus() for p in pieces) == u.genus(), "split5 changed the genus sum")
         return pieces
-    closed_cycle = cycles[i - 1]
-    open_cycles = tuple(c for j, c in enumerate(cycles) if j != i - 1)
-    uni = canonicalize(1, (closed_cycle,), _restrict_alpha(u, tuple(closed_cycle)))
-    bi_ids = tuple(open_cycles[0]) + tuple(open_cycles[1])
-    bi = canonicalize(2, open_cycles, _restrict_alpha(u, bi_ids))
+    uni = _build(u.alpha, (cycles[i - 1],))
+    bi = _build(u.alpha, [c for j, c in enumerate(cycles) if j != i - 1])
     if not bi.is_connected:
         raise Disconnected("two-face piece must be connected")
     check_invariant(uni.np_edge_count >= 1, "the one-face piece of split5 must be nontrivial")
@@ -423,46 +413,14 @@ def split5(i: int, u: CellularMap):
     return uni, bi
 
 
-def _assemble_three(sources: list[tuple[CellularMap, int]]) -> CellularMap:
-    """Disjoint union of three chosen faces (map, face index), relabelled
-    onto one canonical three-face layout.  Pairs never cross source maps.
-
-    The same one-face piece may be placed twice; pairs inside a single face
-    are shifted placement-locally, so repeated objects are safe.  Pairs that
-    cross the two faces of a two-face source use that source's pair of
-    placements.
-    """
-    faces = FaceStructure(tuple(src.faces.interior_sizes[f] for src, f in sources))
-    partner = [-1] * faces.total_half_edges
-    placements: dict[int, dict[int, int]] = {}
-    for tgt, (src, f) in enumerate(sources):
-        base = faces.root(tgt) - src.faces.root(f)
-        placements.setdefault(id(src), {})[f] = base
-        lo, hi = src.faces.root(f), src.faces.plant(f)
-        for h in range(lo, hi + 1):
-            p = src.alpha[h]
-            if lo <= p <= hi:
-                partner[h + base] = p + base
-    done: set[int] = set()
-    for src, _ in sources:
-        if src.k == 1 or id(src) in done:
-            continue
-        done.add(id(src))
-        bases = placements[id(src)]
-        for h in range(src.total_half_edges):
-            p = src.alpha[h]
-            fh, fp = src.faces.face_of(h), src.faces.face_of(p)
-            if fh != fp:
-                if fh not in bases or fp not in bases:
-                    raise ValidationError("a cross-face pair leaves the placed faces")
-                partner[h + bases[fh]] = p + bases[fp]
-    return validate(faces, partner)
-
-
 def join5(i: int, pieces) -> CellularMap:
     """Inverse of split5: place the pieces' faces back in position i and
     glue.  One-face pieces must be nontrivial and a two-face piece must be
-    connected, otherwise the result would leave the class."""
+    connected, otherwise the result would leave the class.
+
+    The faces are read off the disjoint union of the pieces, each piece's
+    ids shifted past the ones before it, so one piece object may be passed
+    more than once."""
     if i in (1, 2, 3):
         uni, bi = pieces
         if uni.k != 1 or uni.np_edge_count == 0:
@@ -471,17 +429,22 @@ def join5(i: int, pieces) -> CellularMap:
             raise WrongClass("expected a two-face piece")
         if not bi.is_connected:
             raise Disconnected("the two-face piece must be connected")
-        slots = {1: [(uni, 0), (bi, 0), (bi, 1)], 2: [(bi, 0), (uni, 0), (bi, 1)], 3: [(bi, 0), (bi, 1), (uni, 0)]}
-        x = _assemble_three(slots[i])
     elif i == 4:
         u1, u2, u3 = pieces
         for p in (u1, u2, u3):
             if p.k != 1 or p.np_edge_count == 0:
                 raise WrongClass("all three pieces must be nontrivial one-face maps")
-        x = _assemble_three([(u1, 0), (u2, 0), (u3, 0)])
     else:
         raise ValueError(f"split index must be 1..4, got {i}")
-    out = glue(x)
+    alpha: tuple[int, ...] = ()
+    words = []
+    for p in pieces:
+        base = len(alpha)
+        alpha += tuple(h + base for h in p.alpha)
+        words += [range(r + base, s + base + 1) for r, s in zip(p.faces.roots, p.faces.plants)]
+    if i != 4:
+        words.insert(i - 1, words.pop(0))  # the one-face piece's face goes to position i
+    out = glue(_build(alpha, words))
     pc = classify(out)
     check_invariant(pc.leaf == f"F5{i}", f"join5({i}) gave class {pc.leaf}, not F5{i}")
     return out

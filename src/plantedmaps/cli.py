@@ -70,11 +70,7 @@ def cmd_classify(a: argparse.Namespace) -> int:
         "g": hist.g,
         "n": hist.n,
         "classes": {leaf: str(hist.classes[leaf]) for leaf in partition.LEAVES},
-        "pendant_counts": {
-            "U2_first": str(hist.u2_first_pendant),
-            "U2_second": str(hist.u2_second_pendant),
-            "G23_second": str(hist.g23_second_pendant),
-        },
+        "pendant_counts": {dom: str(hist.pendants[dom]) for dom in partition.PENDANT_DOMAINS},
     }
     _emit(json.dumps(doc, separators=(",", ":")) + "\n", a.output)
     return EXIT_OK
@@ -125,16 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
-    def add_shards(p):
-        p.add_argument(
-            "--shards", type=int, default=1,
-            help="accepted for compatibility (K >= 1); never changes the output",
-        )
-
     p = sub.add_parser("count", help="census counts by genus for one edge count")
     p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
     p.add_argument("--edges", required=True, type=int, help="non-plant edge count n")
-    add_shards(p)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     add_common(p)
     p.set_defaults(handler=cmd_count)
@@ -142,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="census table for all edge counts up to a bound")
     p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
     p.add_argument("--max-edges", required=True, type=int)
-    add_shards(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     add_common(p)
     p.set_defaults(handler=cmd_export)
@@ -159,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a counting relation over a grid")
     p.add_argument("--relation", required=True, choices=["hz", "bicellular", "theorem"])
     p.add_argument("--max-n", required=True, type=int)
-    add_shards(p)
     add_common(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -182,8 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "shards", 1) < 1:
-            raise MapError("shard count must be >= 1")
         return args.handler(args)
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)

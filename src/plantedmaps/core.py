@@ -286,16 +286,6 @@ class CellularMap:
             raise Disconnected(f"a {self.k}-face map must be connected")
         return "bicellular" if self.k == 2 else "tricellular"
 
-    def is_closed(self, subset: Iterable[int]) -> bool:
-        """Whether ``alpha`` maps ``subset`` onto itself (the empty set is
-        closed)."""
-        s = set(subset)
-        total = self.total_half_edges
-        for h in s:
-            if not 0 <= h < total:
-                raise ValidationError(f"half-edge id {h} out of range")
-        return all(self.alpha[h] in s for h in s)
-
     def encode(self) -> str:
         """Serialize to the one-line JSON interchange form."""
         pairs = sorted((h, p) for h, p in enumerate(self.alpha) if h < p)

@@ -284,16 +284,12 @@ def verify_theorem(g: int, n: int) -> dict:
     }
     pendant_expected = t.u(g + 2, n)
     pendants = {
-        name: {
-            "census": str(value),
+        dom: {
+            "census": str(hist.pendants[dom]),
             "expected": str(pendant_expected),
-            "ok": value == pendant_expected,
+            "ok": hist.pendants[dom] == pendant_expected,
         }
-        for name, value in (
-            ("U2_first", hist.u2_first_pendant),
-            ("U2_second", hist.u2_second_pendant),
-            ("G23_second", hist.g23_second_pendant),
-        )
+        for dom in partition.PENDANT_DOMAINS
     }
     ok = (
         lhs_ref == rhs

@@ -239,14 +239,12 @@ def contraction_vertices_distinct(u: CellularMap) -> bool:
 @dataclass(frozen=True)
 class PartitionHistogram:
     """Per-leaf cardinalities of one genus bucket, then the size of each of
-    :data:`PENDANT_DOMAINS` in order."""
+    :data:`PENDANT_DOMAINS`, keyed in that order."""
 
     g: int
     n: int
     classes: dict[str, int]
-    u2_first_pendant: int
-    u2_second_pendant: int
-    g23_second_pendant: int
+    pendants: dict[str, int]
 
     @property
     def total(self) -> int:
@@ -278,5 +276,5 @@ def histogram(g: int, n: int) -> PartitionHistogram:
         raise BoundExceeded(f"histogram bounded at n <= {ENUMERATION_N_MAX['unicellular'] - 2}")
     counts = _census_class_counts(n + 2)
     classes = {leaf: counts.get((g + 2, leaf), 0) for leaf in LEAVES}
-    pendants = (counts.get((g + 2, dom), 0) for dom in PENDANT_DOMAINS)
-    return PartitionHistogram(g, n, classes, *pendants)
+    pendants = {dom: counts.get((g + 2, dom), 0) for dom in PENDANT_DOMAINS}
+    return PartitionHistogram(g, n, classes, pendants)

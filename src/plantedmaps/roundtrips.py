@@ -240,6 +240,12 @@ def roundtrip(name: str, g: int, n: int) -> dict:
     """Check one bijection exhaustively at theorem index (g, n)."""
     if g < 0 or n < 0:
         raise BoundExceeded("g and n must be non-negative")
+    bounds = census.ENUMERATION_N_MAX
+    n_max = bounds["unicellular"] - 2
+    if name in ("cut", "theta"):  # their codomains are three-face maps with n edges
+        n_max = min(n_max, bounds["tricellular"])
+    if n > n_max:
+        raise BoundExceeded(f"roundtrip bounded at n <= {n_max}, got {n}")
     failures: list[str] = []
     domain_size = image_size = 0
     for what, (domain, forward, inverse, codomain) in _checks(name, g, n).items():

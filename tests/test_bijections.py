@@ -11,7 +11,7 @@ from conftest import mk, uni
 from plantedmaps import bijections as bij
 from plantedmaps import roundtrips
 from plantedmaps.census import tricellular_stream
-from plantedmaps.core import Disconnected, ValidationError
+from plantedmaps.core import Disconnected, InvariantError, ValidationError
 from plantedmaps.partition import classify, domains
 
 EPS = uni(0)
@@ -209,6 +209,30 @@ def test_join5_rejects_trivial_pieces():
         bij.join5(1, (EPS, bi))
     with pytest.raises(bij.WrongClass):
         bij.join5(4, (EPS, EPS, EPS))
+
+
+def test_join5_accepts_one_piece_object_three_times():
+    copies = tuple(uni(2, (1, 3), (2, 4)) for _ in range(3))
+    assert all(c == M2 and c is not M2 for c in copies)
+    u = bij.join5(4, (M2, M2, M2))
+    assert u == bij.join5(4, copies)
+    assert bij.split5(4, u) == copies
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((0, 1, 4, 4, 9), "a half-edge appears in two face positions"),
+        ((0, 1, 2, 9), "the face words are not closed under the pairing"),
+        ((1, 4, 0, 9), "a face root is not paired with its plant"),
+    ],
+    ids=["repeated", "not_closed", "root_not_plant"],
+)
+def test_build_checks_are_invariant_errors(word, message):
+    # II_MAP pairs (0,9), (1,4), (2,6), (3,8), (5,7)
+    with pytest.raises(InvariantError) as info:
+        bij._build(II_MAP.alpha, (word,))
+    assert str(info.value) == message
 
 
 def test_split5_counts_at_0_3():

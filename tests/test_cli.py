@@ -1,20 +1,10 @@
 import json
-import time
 
 import pytest
 
-from plantedmaps import bijections, census, partition
+from plantedmaps import bijections, census, partition, roundtrips
 from plantedmaps.cli import main
 from plantedmaps.core import InvariantError, from_np_pairs
-
-SHARD_COMMANDS = [
-    ("count", "--kind", "uni", "--edges", "5"),
-    ("count", "--kind", "bi", "--edges", "3"),
-    ("count", "--kind", "tri", "--edges", "3"),
-    ("export", "--kind", "uni", "--max-edges", "3"),
-    ("verify", "--relation", "hz", "--max-n", "3"),
-    ("verify", "--relation", "bicellular", "--max-n", "3"),
-]
 
 
 def run(capsys, *argv):
@@ -143,30 +133,6 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("shards", [2, 3, 5])
-def test_shard_count_independence(capsys, shards):
-    for argv in SHARD_COMMANDS:
-        _, plain, _ = run(capsys, *argv)
-        code, out, _ = run(capsys, *argv, "--shards", str(shards))
-        assert code == 0 and out == plain, argv
-
-
-def test_shards_flag_does_not_change_output(capsys):
-    argv = ("count", "--kind", "uni", "--edges", "3")
-    _, plain, _ = run(capsys, *argv)
-    start = time.perf_counter()
-    code, out, _ = run(capsys, *argv, "--shards", "2000000")
-    assert time.perf_counter() - start < 1.0
-    assert code == 0 and out == plain
-
-
-def test_invalid_shards_exit_2(capsys):
-    for command in ("count", "export", "verify"):
-        argv = next(a for a in SHARD_COMMANDS if a[0] == command)
-        code, out, err = run(capsys, *argv, "--shards", "0")
-        assert code == 2 and out == "" and "error" in err, command
-
-
 def test_unwritable_output_exit_2(tmp_path, capsys):
     path = tmp_path / "missing" / "x.txt"
     code, out, err = run(
@@ -242,6 +208,19 @@ def test_bounds_are_checked_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(census, "_cycle_census", work)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bijection, n, n_max",
+    [("cut", 7, 5), ("eta1", 7, 6), ("theta", 7, 5), ("cut", 6, 5), ("split5", 7, 6)],
+)
+def test_roundtrip_bound_is_stated_in_identity_indices(capsys, monkeypatch, bijection, n, n_max):
+    # Rejected before any domain is built, and in the --n the user gave, not
+    # in the edge count of the classified maps two above it; cut and theta
+    # also read three-face maps with n edges.
+    monkeypatch.setattr(roundtrips, "_checks", lambda *_: pytest.fail("domains built"))
+    code, out, err = run(capsys, "roundtrip", "--bijection", bijection, "--g", "0", "--n", str(n))
+    assert (code, out, err) == (2, "", f"error: roundtrip bounded at n <= {n_max}, got {n}\n")
 
 
 def test_broken_surgery_invariant_is_a_failed_check(capsys, monkeypatch):

@@ -109,14 +109,6 @@ def test_bicellular_connectivity():
     assert crossing.genus() == 0
 
 
-def test_is_closed():
-    assert PENDANT.is_closed({1, 2})
-    m = uni(2, (1, 4), (2, 3))
-    assert not m.is_closed({1})
-    assert m.is_closed(set())
-    assert m.is_closed({2, 3})
-
-
 def test_canonicalize_identity_and_idempotence():
     m = uni(3, (1, 4), (2, 6), (3, 5))
     cycles = (tuple(range(m.total_half_edges)),)

@@ -147,7 +147,7 @@ def test_histogram_0_3():
         "B": 280,
     }
     assert h.total == 483
-    assert (h.u2_first_pendant, h.u2_second_pendant, h.g23_second_pendant) == (0, 0, 0)
+    assert h.pendants == {"U2_first": 0, "U2_second": 0, "G23_second": 0}
 
 
 def test_histogram_1_4():
