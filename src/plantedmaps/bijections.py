@@ -45,10 +45,10 @@ from plantedmaps.core import (
 from plantedmaps.partition import (
     PartitionClass,
     WrongScenario,
+    _root_start,
     branches,
     classify,
     domains,
-    v1_profile,
 )
 
 
@@ -137,15 +137,16 @@ def cut(u: CellularMap) -> CutResult:
     of the first two faces and the original root/plant pair frames the
     third.  Output ids are canonical.
     """
-    prof = v1_profile(u)
-    if prof.degree == 2:
+    cycle = _root_start(u)
+    if len(cycle) == 2:
         raise DegenerateM2("root vertex of degree 2 has no second cut pair")
-    if prof.third < prof.second:
+    h2, h3 = cycle[1], cycle[2]
+    if h3 < h2:
         raise WrongScenario("cut applies to scenario A only")
     result = _build(u.alpha, _cut_cycles(u))
     check_invariant(result.np_edge_count == u.np_edge_count - 2, "cut must remove two edges")
     check_invariant(result.aggregate_genus() == u.genus() - 2, "cut must lower the genus by two")
-    return CutResult(result, (prof.second, prof.third, u.faces.plant(0)))
+    return CutResult(result, (h2, h3, u.faces.plant(0)))
 
 
 def glue(x: CellularMap) -> CellularMap:
@@ -170,10 +171,8 @@ def glue(x: CellularMap) -> CellularMap:
     out = _build(x.alpha, (seq,))
     check_invariant(out.np_edge_count == x.np_edge_count + 2, "glue must add two edges")
     check_invariant(out.genus() == x.aggregate_genus() + 2, "glue must raise the genus by two")
-    prof = v1_profile(out)
-    check_invariant(
-        prof.degree >= 3 and prof.third > prof.second, "glue must give a scenario-A map"
-    )
+    cycle = _root_start(out)
+    check_invariant(len(cycle) >= 3 and cycle[2] > cycle[1], "glue must give a scenario-A map")
     return out
 
 
@@ -255,8 +254,7 @@ def delete_pair(u: CellularMap) -> tuple[CellularMap, tuple[int, int]]:
     pc = classify(u)
     if pc.leaf != "B":
         raise NotClassB(f"delete_pair applies to class B, got {pc.leaf}")
-    prof = v1_profile(u)
-    h2, h3 = prof.second, prof.third
+    h2, h3 = _root_start(u)[1:3]
     last = 2 * u.np_edge_count
     check_invariant(u.alpha[h2] == 1 and u.alpha[h3] == h2 + 1, "a class-B root pair is missing")
     k1 = list(range(2, h3))
@@ -328,11 +326,11 @@ def eta(i: int, u: CellularMap) -> CellularMap:
     if i == 1:
         edge = (1, last)
     elif i == 2:
-        edge = (v1_profile(u).second + 1, last)
+        edge = (_root_start(u)[1] + 1, last)
     elif i == 3:
         edge = (1, 2)
     else:
-        h2 = v1_profile(u).second
+        h2 = _root_start(u)[1]
         edge = (h2 + 1, h2 + 2)
     out, _ = contract(u, edge)
     return out
@@ -343,11 +341,11 @@ def eta_inv(i: int, u: CellularMap) -> CellularMap:
     if i == 1:
         out = insert_edge(u, 0, 2 * u.np_edge_count)
     elif i == 2:
-        out = insert_edge(u, v1_profile(u).second, 2 * u.np_edge_count)
+        out = insert_edge(u, _root_start(u)[1], 2 * u.np_edge_count)
     elif i == 3:
         out = insert_edge(u, 0, 0)
     elif i == 4:
-        h2 = v1_profile(u).second
+        h2 = _root_start(u)[1]
         out = insert_edge(u, h2, h2)
     elif i == 5:
         out = eta_inv(3, eta_inv(1, u))

@@ -4,8 +4,7 @@ One enumerator, :func:`_pairings`, walks the perfect matchings of the
 non-plant half-edges of a face layout in lexicographic order: the smallest
 unmatched id is paired with each larger unmatched id in ascending order.
 The three map streams share it, so streams are reproducible and duplicate
-free; :func:`_genus_pairings` adds the genus of each one-face pairing for
-the partition histogram without building maps.
+free.
 
 :func:`count` visits no matching.  It scans the half-edge positions of every
 face layout at once (a transfer-matrix pass) and merges the pairings that
@@ -18,7 +17,9 @@ in-port, ``j + 1`` for open chord ``j``'s B end.  With two or more faces it
 also records each open chord's face component and the current face's,
 relabelled by first appearance, so that disconnected maps drop out.  Each
 state carries its count of pairings per number of sigma-cycles closed.
-Counting is exact.
+Counting is exact.  The partition histogram runs the one-face pass with a
+root-cycle tag added to each state
+(:func:`plantedmaps.partition._census_class_counts`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from typing import Iterator
 
 from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, check_invariant
 
-#: Per-kind bounds on the non-plant edge count of :func:`count` (desk scale).
+#: Per-kind bounds on the non-plant edge count of :func:`count`, the
+#: partition histogram and the theorem check (desk scale).
 N_MAX = {"unicellular": 11, "bicellular": 9, "tricellular": 8}
 
-#: Bounds for the computations that build or classify every map: the
-#: round-trip domains, the partition histogram and the theorem check.
+#: Bounds for the round-trip domains, which build every map.
 ENUMERATION_N_MAX = {"unicellular": 8, "bicellular": 6, "tricellular": 5}
 
 _KIND_ALIASES = {
@@ -152,28 +153,6 @@ def bicellular_stream(n: int, connected_only: bool = True) -> Iterator[CellularM
 def tricellular_stream(n: int, connected_only: bool = True) -> Iterator[CellularMap]:
     """All connected planted three-face maps with ``n`` non-plant edges."""
     yield from _cellular_stream(3, n, connected_only)
-
-
-def _genus_pairings(n: int) -> Iterator[tuple[int, list[int]]]:
-    """``(genus, partner)`` for every one-face pairing with ``n`` non-plant
-    edges, in :func:`_pairings` order and with its in-place list.  The genus
-    counts the cycles of ``sigma(h) = partner[h + 1]`` below the plant,
-    which sigma fixes."""
-    last = 2 * n  # the id before the plant
-    seen = [0] * (last + 1)
-    stamp = 0
-    for partner in _pairings(FaceStructure((last,))):
-        stamp += 1
-        cycles = 1
-        for s0 in range(last + 1):
-            if seen[s0] == stamp:
-                continue
-            cycles += 1
-            h = s0
-            while seen[h] != stamp:
-                seen[h] = stamp
-                h = partner[h + 1]
-        yield (2 - cycles + n) // 2, partner
 
 
 def _merge(layer: dict, key, counts: list[int], closed: int) -> None:

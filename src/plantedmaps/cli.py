@@ -90,6 +90,13 @@ def cmd_verify(a: argparse.Namespace) -> int:
 def cmd_roundtrip(a: argparse.Namespace) -> int:
     report = roundtrips.roundtrip(a.bijection, a.g, a.n)
     _emit(json.dumps(report, indent=2) + "\n", a.output)
+    if report["ok"] and report["domain_size"] == 0:
+        # Any codomain element would have been a failure: both sides are empty.
+        print(
+            f"note: {a.bijection} at (g, n) = ({a.g}, {a.n}) has an empty domain "
+            "and codomain; the round trip checked nothing",
+            file=sys.stderr,
+        )
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 

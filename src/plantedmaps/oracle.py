@@ -232,7 +232,7 @@ def check_theorem_bound(n: int) -> None:
     before any work is done."""
     from plantedmaps import census
 
-    bounds = census.ENUMERATION_N_MAX
+    bounds = census.N_MAX
     if n > bounds["tricellular"] or n + 2 > bounds["unicellular"]:
         raise BoundExceeded(f"theorem check bounded at n <= {bounds['tricellular']}")
 

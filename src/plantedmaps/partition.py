@@ -19,6 +19,10 @@ branch lengths and branch closure under ``alpha`` drive one decision tree,
 
 Exactly two closed branches cannot occur: the non-plant ids form a closed
 set, so two closed branches force the third closed.
+
+The histogram builds no maps: it runs the census's one-face transfer-matrix
+pass with a tag that follows the root cycle (:func:`_census_class_counts`),
+and both paths decide degree >= 4 through :func:`_branch_class`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import ENUMERATION_N_MAX, _genus_pairings
+from plantedmaps.census import N_MAX, _join, _merge
 from plantedmaps.core import BoundExceeded, CellularMap, MapError
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -140,19 +144,26 @@ def scenario(u: CellularMap) -> str:
     return "B" if classify(u).leaf == "B" else "A"
 
 
+def _root_start(u: CellularMap) -> list[int]:
+    """The root vertex of a nontrivial one-face map up to its fourth
+    half-edge: its length is the degree when that is 2 or 3, else 4."""
+    _require_nontrivial_unicellular(u)
+    return _root_cycle(u.alpha, 4)
+
+
 def branches(u: CellularMap) -> Branches:
     """Branch decomposition of the face interior (scenario A only).
 
     For degree 2 the single wrap branch is the whole interior; for degree 3
     the third branch is empty; for degree >= 4 all three are nonempty.
     """
-    prof = v1_profile(u)
+    cycle = _root_start(u)
     last = 2 * u.np_edge_count
-    if prof.degree == 2:
+    if len(cycle) == 2:
         return Branches(tuple(range(1, last + 1)), (), ())
-    if prof.third < prof.second:
+    h2, h3 = cycle[1], cycle[2]
+    if h3 < h2:
         raise WrongScenario("branches are defined on scenario A maps only")
-    h2, h3 = prof.second, prof.third
     return Branches(
         tuple(range(1, h2 + 1)),
         tuple(range(h2 + 1, h3 + 1)),
@@ -164,6 +175,22 @@ def closed_branches(u: CellularMap) -> tuple[bool, bool, bool]:
     """Closure of each branch under ``alpha`` (empty branches are closed)."""
     br = branches(u)
     return tuple(not s or _closed(u.alpha, s[0], s[-1]) for s in (br.first, br.second, br.third))
+
+
+def _branch_class(c1: bool, c2: bool, c3: bool, len1_2: bool, len2_2: bool) -> PartitionClass:
+    """Leaf of a scenario-A map with root degree >= 4, from the closure of
+    its three branches and whether the first and second are pendant pairs."""
+    n_closed = c1 + c2 + c3
+    check_invariant(n_closed != 2, "two closed branches are impossible")
+    if n_closed == 0:
+        return _pc("II")
+    if len1_2:
+        return _pc("G23", True, len2_2)
+    if len2_2:
+        return _pc("G24", False, True)
+    if n_closed == 3:
+        return _pc("F54")
+    return _pc("F51" if c1 else ("F52" if c2 else "F53"))
 
 
 def _classify(alpha: Sequence[int]) -> PartitionClass:
@@ -179,25 +206,17 @@ def _classify(alpha: Sequence[int]) -> PartitionClass:
         check_invariant(alpha[cycle[1]] not in cycle, "the U1 wrap pair lies on the root vertex")
         return _pc("U1")
     h2, h3 = cycle[1], cycle[2]
-    len1, len2 = h2, h3 - h2
     if m == 3:
         # Same for the tail pair of a degree-3 root vertex.
         check_invariant(alpha[h3] not in cycle, "the U2 tail pair lies on the root vertex")
-        return _pc("U2", len1 == 2, len2 == 2)
-    c1 = _closed(alpha, 1, h2)
-    c2 = _closed(alpha, h2 + 1, h3)
-    c3 = _closed(alpha, h3 + 1, len(alpha) - 2)
-    n_closed = c1 + c2 + c3
-    check_invariant(n_closed != 2, "two closed branches are impossible")
-    if n_closed == 0:
-        return _pc("II")
-    if len1 == 2:
-        return _pc("G23", True, len2 == 2)
-    if len2 == 2:
-        return _pc("G24", False, True)
-    if n_closed == 3:
-        return _pc("F54")
-    return _pc("F51" if c1 else ("F52" if c2 else "F53"))
+        return _pc("U2", h2 == 2, h3 - h2 == 2)
+    return _branch_class(
+        _closed(alpha, 1, h2),
+        _closed(alpha, h2 + 1, h3),
+        _closed(alpha, h3 + 1, len(alpha) - 2),
+        h2 == 2,
+        h3 - h2 == 2,
+    )
 
 
 def classify(u: CellularMap) -> PartitionClass:
@@ -219,7 +238,7 @@ def contraction_edges(u: CellularMap) -> tuple[tuple[int, int], ...]:
     if "U1" in doms:
         edges.append((1, last))
     if doms & {"U2", "G23", "G24"}:
-        h2 = v1_profile(u).second
+        h2 = _root_start(u)[1]
         if "U2" in doms:
             edges.append((h2 + 1, last))
         if doms & {"U2_first", "G23"}:
@@ -251,29 +270,94 @@ class PartitionHistogram:
         return sum(self.classes.values())
 
 
+def _next_tag(tag, j: int, m: int, p: int, last: int):
+    """The tag of a scan state after position ``p`` of ``1..last`` opens a
+    chord (``j < 0``) or closes open chord ``j`` of the ``m`` open ones.
+
+    Chords are indexed in opening order.  The root chord ``(1, h2)`` is
+    chord 0, open while the tag is ``("a",)``.  Once it closes at ``h2`` the
+    tag is ``("b", c1, h2 == 2)``, where ``c1`` says the first branch is
+    closed (no chord left open).  Position ``h2 + 1`` then closes a chord
+    (its partner is below ``h2``: class B) or opens chord ``t``, and the tag
+    is ``("c", t, crossed, fresh, c1, h2 == 2)``: ``crossed`` says a chord
+    opened before ``h2 + 1`` has closed since, ``fresh`` that chord ``t``
+    opened at the previous position.  When chord ``t`` closes at ``h3`` the
+    leaf is known and becomes the tag.
+    """
+    if isinstance(tag, PartitionClass):
+        return tag
+    if tag[0] == "a":
+        if j != 0:
+            return tag
+        return _pc("U1") if p == last else ("b", m == 1, p == 2)
+    if tag[0] == "b":
+        return _pc("B") if j >= 0 else ("c", m, False, True) + tag[1:]
+    _, t, crossed, fresh, c1, len1_2 = tag
+    if j != t:
+        return ("c", t - (0 <= j < t), crossed or 0 <= j < t, False, c1, len1_2)
+    if p == last:
+        return _pc("U2", len1_2, fresh)
+    # A chord still open crosses h3, and one opened after chord t also starts
+    # inside branch 2; an earlier chord that closed since ended inside it.
+    return _branch_class(c1, not crossed and m - 1 == t, m == 1, len1_2, fresh)
+
+
 @lru_cache(maxsize=16)
 def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
-    """One classification pass over every one-face map with ``total_np``
-    non-plant edges, counted per ``(genus, domain)`` for the leaves and
-    :data:`PENDANT_DOMAINS`.  Reads the census partner lists directly."""
-    counts: dict[tuple[int, str], int] = {}
-    for g, partner in _genus_pairings(total_np):
-        for dom in domains(_classify(partner)):
-            counts[g, dom] = counts.get((g, dom), 0) + 1
-    return counts
+    """Every one-face map with ``total_np`` non-plant edges, counted per
+    ``(genus, domain)`` for the leaves and :data:`PENDANT_DOMAINS`.
+
+    One transfer-matrix pass over the interior positions, as in
+    :func:`~plantedmaps.census._cycle_census` on one face: a state is the
+    start of each open sigma-path end, here with a tag (:func:`_next_tag`)
+    that follows the root cycle until the leaf is known, at ``h3`` at the
+    latest.  Each state carries its counts per number of sigma-cycles closed.
+    """
+    last = 2 * total_np
+    layer: dict = {("a",): {b"\0": [1]}}
+    for p in range(1, last + 1):
+        room = last - p
+        step: dict = {}
+        for tag, states in layer.items():
+            for ends, counts in states.items():
+                m = len(ends) - 1
+                if m < room:  # room left to close the new chord too
+                    out = step.setdefault(_next_tag(tag, -1, m, p, last), {})
+                    _merge(out, ends + bytes((m + 1,)), counts, 0)
+                for j in range(m):
+                    path = list(ends)
+                    closed = _join(path, j + 1)
+                    path[-1] = path.pop(j)
+                    out = step.setdefault(_next_tag(tag, j, m, p, last), {})
+                    _merge(out, bytes([x - 1 if x > j + 1 else x for x in path]), counts, closed)
+        layer = step
+    tally: dict[tuple[int, str], int] = {}
+    for tag, states in layer.items():
+        check_invariant(
+            isinstance(tag, PartitionClass) and list(states) == [b"\0"],
+            "a one-face scan ended before its leaf was known",
+        )
+        for closed, c in enumerate(states[b"\0"]):
+            if not c:
+                continue
+            # sigma has the fixed plant and closed + 1 further cycles
+            g = (total_np - closed) // 2
+            for dom in domains(tag):
+                tally[g, dom] = tally.get((g, dom), 0) + c
+    return tally
 
 
 def histogram(g: int, n: int) -> PartitionHistogram:
-    """Classify every one-face map of genus ``g + 2`` with ``n + 2``
-    non-plant edges and count each leaf.
+    """Count the one-face maps of genus ``g + 2`` with ``n + 2`` non-plant
+    edges in each leaf and pendant sub-domain.
 
     The indices follow the counting identity: the maps classified live two
     genera and two edges above ``(g, n)``.
     """
     if g < 0 or n < 0:
         raise BoundExceeded("g and n must be non-negative")
-    if n + 2 > ENUMERATION_N_MAX["unicellular"]:
-        raise BoundExceeded(f"histogram bounded at n <= {ENUMERATION_N_MAX['unicellular'] - 2}")
+    if n + 2 > N_MAX["unicellular"]:
+        raise BoundExceeded(f"histogram bounded at n <= {N_MAX['unicellular'] - 2}")
     counts = _census_class_counts(n + 2)
     classes = {leaf: counts.get((g + 2, leaf), 0) for leaf in LEAVES}
     pendants = {dom: counts.get((g + 2, dom), 0) for dom in PENDANT_DOMAINS}

@@ -6,15 +6,12 @@ from conftest import catalan, double_factorial_odd, mk, uni
 from plantedmaps import oracle
 from plantedmaps.census import (
     BoundExceeded,
-    _genus_pairings,
-    _pairings,
     bicellular_stream,
     count,
     count_range,
     tricellular_stream,
     unicellular_stream,
 )
-from plantedmaps.core import CellularMap, FaceStructure
 
 
 def test_unicellular_n0_is_the_trivial_map():
@@ -195,11 +192,3 @@ def test_count_range_merges_tables():
 def test_merge_rejects_kind_mismatch():
     with pytest.raises(ValueError):
         count("unicellular", 1).merge(count("bicellular", 1))
-
-
-def test_genus_pairings_are_the_one_face_pairings_with_their_genus():
-    for n in range(6):
-        faces = FaceStructure((2 * n,))
-        expected = [(CellularMap(faces, tuple(p)).genus(), tuple(p)) for p in _pairings(faces)]
-        got = [(g, tuple(p)) for g, p in _genus_pairings(n)]
-        assert got == expected, n

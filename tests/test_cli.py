@@ -86,6 +86,20 @@ def test_roundtrip_psi(capsys):
     assert rep["domain_size"] == 15 and rep["image_size"] == 15 and rep["ok"]
 
 
+def test_empty_roundtrip_says_it_checked_nothing(capsys):
+    # No one-face map of genus 2 with 5 edges has a pendant first branch and
+    # a wrap pair, so eta5 at (0, 3) has nothing on either side.
+    code, out, err = run(capsys, "roundtrip", "--bijection", "eta5", "--g", "0", "--n", "3")
+    rep = json.loads(out)
+    assert code == 0 and rep["domain_size"] == rep["image_size"] == 0 and rep["ok"]
+    assert err == (
+        "note: eta5 at (g, n) = (0, 3) has an empty domain and codomain; "
+        "the round trip checked nothing\n"
+    )
+    code, out, err = run(capsys, "roundtrip", "--bijection", "cut", "--g", "0", "--n", "3")
+    assert code == 0 and json.loads(out)["domain_size"] == 182 and err == ""
+
+
 def test_show(capsys):
     doc = '{"k":1,"interiors":[8],"alpha":[[0,9],[1,5],[2,6],[3,7],[4,8]]}'
     code, out, _ = run(capsys, "show", "--map", doc)
@@ -182,7 +196,7 @@ def test_theorem_bound_is_checked_before_any_work(capsys, monkeypatch):
         pytest.fail("the theorem check classified maps before checking its bound")
 
     monkeypatch.setattr(partition, "histogram", histogram)
-    code, out, err = run(capsys, "verify", "--relation", "theorem", "--max-n", "6")
+    code, out, err = run(capsys, "verify", "--relation", "theorem", "--max-n", "9")
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
@@ -193,19 +207,20 @@ def test_theorem_bound_is_checked_before_any_work(capsys, monkeypatch):
         ("count", "--kind", "tri", "--edges", "9"),
         ("verify", "--relation", "hz", "--max-n", "12"),
         ("verify", "--relation", "bicellular", "--max-n", "10"),
-        ("classify", "--genus", "2", "--edges", "9"),
-        ("verify", "--relation", "theorem", "--max-n", "6"),
+        ("classify", "--genus", "2", "--edges", "12"),
+        ("verify", "--relation", "theorem", "--max-n", "9"),
         ("roundtrip", "--bijection", "cut", "--g", "0", "--n", "7"),
     ],
     ids=["count-bi", "count-tri", "hz", "bicellular", "classify", "theorem", "roundtrip"],
 )
 def test_bounds_are_checked_before_any_work(capsys, monkeypatch, argv):
-    # The enumerating commands keep their bounds below the count bounds.
+    # Only roundtrip enumerates; it keeps its bound below the count bounds.
     def work(*_):
         pytest.fail(f"{argv[0]} started counting before checking its bound")
 
     monkeypatch.setattr(census, "_pairings", work)
     monkeypatch.setattr(census, "_cycle_census", work)
+    monkeypatch.setattr(partition, "_census_class_counts", work)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 

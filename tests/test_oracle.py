@@ -97,4 +97,4 @@ def test_verify_theorem_report_contents():
 
 def test_verify_theorem_bound():
     with pytest.raises(BoundExceeded):
-        oracle.verify_theorem(0, 6)
+        oracle.verify_theorem(0, 9)

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import uni
 from plantedmaps import oracle
-from plantedmaps.census import unicellular_stream
+from plantedmaps.census import N_MAX, unicellular_stream
 from plantedmaps.partition import (
     PENDANT_DOMAINS,
     BoundExceeded,
@@ -158,14 +158,15 @@ def test_histogram_1_4():
 
 
 def test_histogram_totals_match_recurrence():
-    for n in range(4):
-        for g in range((n + 2) // 2 - 1):
-            assert histogram(g, n).total == oracle.hz(g + 2, n + 2)
+    # Every index up to the bound, including genera whose bucket is empty.
+    for n in range(N_MAX["unicellular"] - 1):
+        for g in range((n + 2) // 2 + 1):
+            assert histogram(g, n).total == oracle.hz(g + 2, n + 2), (g, n)
 
 
 def test_histogram_bound():
     with pytest.raises(BoundExceeded):
-        histogram(0, 7)
+        histogram(0, 10)
 
 
 def test_degenerate_double_pendant_is_u2_with_both_flags():
