@@ -46,7 +46,6 @@ from plantedmaps.partition import (
     PartitionClass,
     WrongScenario,
     _root_start,
-    branches,
     classify,
     domains,
 )
@@ -124,10 +123,12 @@ def _build(alpha: Sequence[int], words: Sequence[Sequence[int]]) -> CellularMap:
     return CellularMap(faces, partner)
 
 
-def _cut_cycles(u: CellularMap) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    br = branches(u)
+def _cut_words(u: CellularMap, h2: int, h3: int) -> tuple[range, range, tuple[int, ...]]:
+    """The faces of the cut of ``u`` at its root vertex's second and third
+    half-edges ``h2 < h3``: the first two branches, then the third framed
+    by the root and the plant."""
     plant = u.faces.plant(0)
-    return br.first, br.second, (0,) + br.third + (plant,)
+    return range(1, h2 + 1), range(h2 + 1, h3 + 1), (0, *range(h3 + 1, plant), plant)
 
 
 def cut(u: CellularMap) -> CutResult:
@@ -143,7 +144,7 @@ def cut(u: CellularMap) -> CutResult:
     h2, h3 = cycle[1], cycle[2]
     if h3 < h2:
         raise WrongScenario("cut applies to scenario A only")
-    result = _build(u.alpha, _cut_cycles(u))
+    result = _build(u.alpha, _cut_words(u, h2, h3))
     check_invariant(result.np_edge_count == u.np_edge_count - 2, "cut must remove two edges")
     check_invariant(result.aggregate_genus() == u.genus() - 2, "cut must lower the genus by two")
     return CutResult(result, (h2, h3, u.faces.plant(0)))
@@ -396,7 +397,7 @@ def split5(i: int, u: CellularMap):
     pc = classify(u)
     if pc.leaf != f"F5{i}":
         raise WrongClass(f"split5({i}) applies to class F5{i}, got {pc.leaf}")
-    cycles = _cut_cycles(u)
+    cycles = _cut_words(u, *_root_start(u)[1:3])
     if i == 4:
         pieces = tuple(_build(u.alpha, (c,)) for c in cycles)
         check_invariant(all(p.np_edge_count >= 1 for p in pieces), "split5 gave a trivial piece")

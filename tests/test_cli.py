@@ -245,6 +245,96 @@ def test_broken_surgery_invariant_is_a_failed_check(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def _eta1_entry():
+    """Domain and codomain of the one entry of eta1 at (0, 3), as lists."""
+    ((domain, _, _, codomain),) = roundtrips._checks("eta1", 0, 3).values()
+    return list(domain), list(codomain)
+
+
+def _failures(capsys, bijection="eta1"):
+    """The failures of a round trip at (0, 3) that must fail."""
+    code, out, _ = run(capsys, "roundtrip", "--bijection", bijection, "--g", "0", "--n", "3")
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    return report["failures"]
+
+
+def _codomain_plus(monkeypatch, extra):
+    """Have every entry's codomain stream yield ``extra(codomain)`` after its
+    own elements."""
+    real = roundtrips._checks
+
+    def checks(*args):
+        entries = {}
+        for what, (domain, forward, inverse, codomain) in real(*args).items():
+            codomain = list(codomain)
+            entries[what] = (domain, forward, inverse, codomain + extra(codomain))
+        return entries
+
+    monkeypatch.setattr(roundtrips, "_checks", checks)
+
+
+def test_inverse_wrong_on_one_element_is_a_failed_check(capsys, monkeypatch):
+    # y0 goes to the preimage of y1: a domain element, but not the one it came from.
+    _, (y0, y1, *_) = _eta1_entry()
+    real = bijections.eta_inv
+    monkeypatch.setattr(bijections, "eta_inv", lambda i, u: real(i, y1 if u == y0 else u))
+    x0 = real(1, y0)
+    assert _failures(capsys) == [f"eta1: inverse(forward(x)) != x for {x0.encode()}"]
+
+
+def test_inverse_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
+    _, (y0, *_) = _eta1_entry()
+    real = bijections.eta_inv
+
+    def eta_inv(i, u):
+        if u == y0:
+            raise bijections.WrongClass("refused")
+        return real(i, u)
+
+    monkeypatch.setattr(bijections, "eta_inv", eta_inv)
+    x0 = real(1, y0)
+    assert _failures(capsys) == [f"eta1: WrongClass on {x0.encode()}: refused"]
+
+
+def test_forward_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
+    (x0, *_), codomain = _eta1_entry()
+    real = bijections.eta
+
+    def eta(i, u):
+        if u == x0:
+            raise bijections.WrongClass("refused")
+        return real(i, u)
+
+    monkeypatch.setattr(bijections, "eta", eta)
+    c = len(codomain)
+    assert _failures(capsys) == [
+        f"eta1: WrongClass on {x0.encode()}: refused",
+        f"eta1: image misses 1 of the {c} codomain elements and adds 0 (image has {c - 1})",
+    ]
+
+
+def test_forward_missing_one_codomain_element_is_a_failed_check(capsys, monkeypatch):
+    # A valid one-face map with one edge too many lies outside eta1's image.
+    outside = roundtrips.uni_maps(2, 5)[0]
+    c = len(_eta1_entry()[1])
+    _codomain_plus(monkeypatch, lambda _: [outside])
+    assert _failures(capsys) == [
+        f"eta1: image misses 1 of the {c + 1} codomain elements and adds 0 (image has {c})"
+    ]
+
+
+@pytest.mark.parametrize("bijection", ["eta1", "contract"])
+def test_codomain_repeating_one_element_is_a_failed_check(capsys, monkeypatch, bijection):
+    # The image equals the codomain's set, but the codomain lists one element twice.
+    ((_, _, _, codomain),) = roundtrips._checks(bijection, 0, 3).values()
+    c = len(list(codomain))
+    _codomain_plus(monkeypatch, lambda codomain: codomain[:1])
+    assert _failures(capsys, bijection) == [
+        f"{bijection}: image misses 1 of the {c + 1} codomain elements and adds 0 (image has {c})"
+    ]
+
+
 def test_invariant_error_exits_1_with_one_error_line(capsys, monkeypatch):
     def histogram(*_):
         raise InvariantError("two closed branches are impossible")

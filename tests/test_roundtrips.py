@@ -54,3 +54,26 @@ def test_each_stream_is_walked_once_per_edge_count(monkeypatch):
         ("bicellular_stream", (3,), {}),
         ("tricellular_stream", (3,), {"connected_only": False}),
     ]
+
+
+def test_check_matches_the_codomain_one_to_one():
+    def check(domain, codomain):
+        failures: list[str] = []
+        sizes = roundtrips._check(domain, abs, abs, codomain, failures, "abs")
+        return sizes, failures
+
+    assert check([1, 2, 3], (3, 1, 2)) == ((3, 3), [])
+    # A repeated codomain element is not offset by an image element outside
+    # the codomain: both lists have three elements and neither misses a value.
+    assert check([1, 2, 3], [1, 2, 2]) == (
+        (3, 3),
+        ["abs: image misses 1 of the 3 codomain elements and adds 1 (image has 3)"],
+    )
+    assert check([1, -1, 2], [1, 2, 4]) == (
+        (3, 2),
+        [
+            "abs: inverse(forward(x)) != x for -1",
+            "abs: image contains duplicates (injectivity broken)",
+            "abs: image misses 1 of the 3 codomain elements and adds 0 (image has 2)",
+        ],
+    )
