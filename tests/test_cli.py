@@ -245,9 +245,9 @@ def test_broken_surgery_invariant_is_a_failed_check(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def _eta1_entry():
-    """Domain and codomain of the one entry of eta1 at (0, 3), as lists."""
-    ((domain, _, _, codomain),) = roundtrips._checks("eta1", 0, 3).values()
+def _entry(bijection="eta1"):
+    """Domain and codomain of the one entry of a bijection at (0, 3), as lists."""
+    ((domain, _, _, codomain),) = roundtrips._checks(bijection, 0, 3).values()
     return list(domain), list(codomain)
 
 
@@ -276,7 +276,7 @@ def _codomain_plus(monkeypatch, extra):
 
 def test_inverse_wrong_on_one_element_is_a_failed_check(capsys, monkeypatch):
     # y0 goes to the preimage of y1: a domain element, but not the one it came from.
-    _, (y0, y1, *_) = _eta1_entry()
+    _, (y0, y1, *_) = _entry()
     real = bijections.eta_inv
     monkeypatch.setattr(bijections, "eta_inv", lambda i, u: real(i, y1 if u == y0 else u))
     x0 = real(1, y0)
@@ -284,7 +284,7 @@ def test_inverse_wrong_on_one_element_is_a_failed_check(capsys, monkeypatch):
 
 
 def test_inverse_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
-    _, (y0, *_) = _eta1_entry()
+    _, (y0, *_) = _entry()
     real = bijections.eta_inv
 
     def eta_inv(i, u):
@@ -298,7 +298,7 @@ def test_inverse_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
 
 
 def test_forward_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
-    (x0, *_), codomain = _eta1_entry()
+    (x0, *_), codomain = _entry()
     real = bijections.eta
 
     def eta(i, u):
@@ -317,7 +317,7 @@ def test_forward_raising_on_one_element_is_a_failed_check(capsys, monkeypatch):
 def test_forward_missing_one_codomain_element_is_a_failed_check(capsys, monkeypatch):
     # A valid one-face map with one edge too many lies outside eta1's image.
     outside = roundtrips.uni_maps(2, 5)[0]
-    c = len(_eta1_entry()[1])
+    c = len(_entry()[1])
     _codomain_plus(monkeypatch, lambda _: [outside])
     assert _failures(capsys) == [
         f"eta1: image misses 1 of the {c + 1} codomain elements and adds 0 (image has {c})"
@@ -327,8 +327,7 @@ def test_forward_missing_one_codomain_element_is_a_failed_check(capsys, monkeypa
 @pytest.mark.parametrize("bijection", ["eta1", "contract"])
 def test_codomain_repeating_one_element_is_a_failed_check(capsys, monkeypatch, bijection):
     # The image equals the codomain's set, but the codomain lists one element twice.
-    ((_, _, _, codomain),) = roundtrips._checks(bijection, 0, 3).values()
-    c = len(list(codomain))
+    c = len(_entry(bijection)[1])
     _codomain_plus(monkeypatch, lambda codomain: codomain[:1])
     assert _failures(capsys, bijection) == [
         f"{bijection}: image misses 1 of the {c + 1} codomain elements and adds 0 (image has {c})"
