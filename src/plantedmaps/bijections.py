@@ -17,29 +17,25 @@ The class bijections eta1..eta7 are contractions at forced positions, the
 three-face bijection theta is cut followed by relabelling, and the split/join
 pair separates closed branches into independent pieces.  Every surgery that
 builds a map writes its output as face words over the input's half-edges
-(new half-edges are ids past the input's) and hands them to one builder,
-``_build``, which relabels each id by its position in the words.  The
-builder checks that no id repeats, that the words are closed under the
-pairing and that each root is paired with its plant; every operation also
-checks its genus and edge-count bookkeeping.  All of these raise
-:class:`~plantedmaps.core.InvariantError`, also under ``python -O``;
-outputs are canonical maps.
+(new half-edges are ids past the input's) and hands them to the face-word
+builder of :mod:`plantedmaps.core`, ``_build``, which relabels each id by
+its position in the words.  The builder checks that no id repeats, that the
+words are closed under the pairing and that each root is paired with its
+plant; every operation also checks its genus and edge-count bookkeeping.
+All of these raise :class:`~plantedmaps.core.InvariantError`, also under
+``python -O``; outputs are canonical maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
-from typing import Sequence
 
 from plantedmaps.core import (
     CellularMap,
     Disconnected,
-    FaceStructure,
-    InvariantError,
     MapError,
     ValidationError,
+    _build,
     check_invariant,
 )
 from plantedmaps.partition import (
@@ -91,36 +87,6 @@ class CutResult:
 
     map: CellularMap
     became_plants: tuple[int, int, int]
-
-
-@lru_cache(maxsize=8)
-def _layout(lengths: tuple[int, ...]) -> FaceStructure:
-    """One layout per tuple of face-word lengths, shared by the maps built
-    below.  Random inputs bring new lengths with every map, so the cache is
-    bounded."""
-    return FaceStructure(tuple(length - 2 for length in lengths))
-
-
-def _build(alpha: Sequence[int], words: Sequence[Sequence[int]]) -> CellularMap:
-    """The map whose faces read ``words``, each from its root to its plant.
-
-    Every id keeps its ``alpha`` partner, relabelled by its position in the
-    concatenated words.  A surgery that adds half-edges gives them the ids
-    past the end of its input's ``alpha`` and appends their partners.  Raises
-    :class:`InvariantError` when an id appears twice, when the words are not
-    closed under ``alpha`` or when a root is not paired with its plant.
-    """
-    seq = words[0] if len(words) == 1 else list(chain.from_iterable(words))
-    new_of = {old: new for new, old in enumerate(seq)}
-    check_invariant(len(new_of) == len(seq), "a half-edge appears in two face positions")
-    try:
-        partner = tuple([new_of[alpha[h]] for h in seq])
-    except KeyError:
-        raise InvariantError("the face words are not closed under the pairing") from None
-    faces = _layout(tuple(map(len, words)))
-    for r, s in zip(faces.roots, faces.plants):
-        check_invariant(partner[r] == s, "a face root is not paired with its plant")
-    return CellularMap(faces, partner)
 
 
 def _cut_words(u: CellularMap, h2: int, h3: int) -> tuple[range, range, tuple[int, ...]]:

@@ -20,6 +20,12 @@ and the cycle tuples (:attr:`CellularMap.vertex_cycles`) are built only for
 
 Storing ``alpha`` as a partner array over a dense id range gives O(1) edge
 lookups and keeps exhaustive enumeration cache friendly.
+
+One builder, :func:`_build`, relabels face words written root to plant by
+position; the surgeries of :mod:`plantedmaps.bijections` and
+:func:`canonicalize` share it, each picking the error class it raises.  One
+per-id check, :func:`_check_involution`, serves every partner array read
+from input.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
@@ -188,10 +195,6 @@ class CellularMap:
     def plants(self) -> tuple[int, ...]:
         return self.faces.plants
 
-    @property
-    def np_ids(self) -> tuple[int, ...]:
-        return self.faces.np_ids
-
     @cached_property
     def sigma(self) -> tuple[int, ...]:
         """Vertex permutation ``alpha o gamma``; fixes every plant."""
@@ -345,19 +348,28 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
     total = faces.total_half_edges
     if len(partner) != total:
         raise SizeMismatch(f"alpha has {len(partner)} entries, map has {total} half-edges")
+    return _planted(faces, partner)
+
+
+def _check_involution(partner: Sequence[int]) -> None:
+    """The one per-id check of a partner array: each entry an id, none fixed,
+    each paired back; ``-1`` (unpaired) fails the range check."""
+    total = len(partner)
     for h, p in enumerate(partner):
         if not 0 <= p < total:
-            raise NotInvolution(f"alpha({h}) = {p} out of range")
+            raise SizeMismatch(
+                f"half-edge {h} is unpaired" if p == -1 else f"alpha({h}) = {p} out of range"
+            )
         if p == h:
             raise HasFixedPoint(f"alpha fixes half-edge {h}")
         if partner[p] != h:
             raise NotInvolution(f"alpha(alpha({h})) = {partner[p]} != {h}")
-    return _planted(faces, partner)
 
 
 def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
-    """Check that each root is paired with its plant and return the map;
-    ``partner`` must already be a fixed-point free involution on the ids."""
+    """Check that ``partner`` is a fixed-point free involution on the ids and
+    that each root is paired with its plant, and return the map."""
+    _check_involution(partner)
     for i in range(faces.k):
         r, s = faces.root(i), faces.plant(i)
         if partner[r] != s:
@@ -367,24 +379,21 @@ def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
     return CellularMap(faces, partner)
 
 
-def involution_from_pairs(pairs: Iterable[tuple[int, int]], total: int) -> tuple[int, ...]:
-    """Partner array from a list of id pairs covering ``range(total)``; the
-    one check of each pair (range, fixed point, paired twice, unpaired)."""
+def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple[int, ...]:
+    """Partner array from id pairs covering ``range(total)``, ``-1`` at an
+    unpaired id.  Checks the pair count before allocating and each id's range
+    before writing; with the count right, an id paired twice leaves another
+    unpaired, and :func:`_check_involution` rejects the result."""
+    if 2 * len(pairs) != total:
+        raise SizeMismatch(f"alpha has {len(pairs)} pairs, map has {total} half-edges")
     partner = [-1] * total
     for a, b in pairs:
         a, b = int(a), int(b)
         for h in (a, b):
             if not 0 <= h < total:
                 raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
-        if a == b:
-            raise HasFixedPoint(f"pair ({a},{b}) fixes a half-edge")
-        if partner[a] != -1 or partner[b] != -1:
-            raise NotInvolution(f"half-edge in pair ({a},{b}) paired twice")
         partner[a] = b
         partner[b] = a
-    if any(p == -1 for p in partner):
-        missing = [h for h, p in enumerate(partner) if p == -1]
-        raise SizeMismatch(f"unpaired half-edges: {missing}")
     return tuple(partner)
 
 
@@ -401,7 +410,44 @@ def from_np_pairs(
         if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
         all_pairs.append((np_ids[s - 1], np_ids[t - 1]))
-    return CellularMap(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
+    return _planted(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
+
+
+@lru_cache(maxsize=8)
+def _layout(lengths: tuple[int, ...]) -> FaceStructure:
+    """One layout per tuple of face-word lengths, shared by the maps built
+    below.  Random inputs bring new lengths with every map, so the cache is
+    bounded."""
+    return FaceStructure(tuple(length - 2 for length in lengths))
+
+
+def _build(
+    alpha: Sequence[int] | Mapping[int, int],
+    words: Sequence[Sequence[int]],
+    error: type[MapError] = InvariantError,
+) -> CellularMap:
+    """The map whose faces read ``words``, each from its root to its plant.
+
+    Every id keeps its ``alpha`` partner, relabelled by its position in the
+    concatenated words.  A surgery that adds half-edges gives them the ids
+    past the end of its input's ``alpha`` and appends their partners.  Raises
+    ``error`` (a surgery's :class:`InvariantError`, or an input error class)
+    when an id appears twice, when the words are not closed under ``alpha``
+    or when a root is not paired with its plant.
+    """
+    seq = words[0] if len(words) == 1 else list(chain.from_iterable(words))
+    new_of = {old: new for new, old in enumerate(seq)}
+    if len(new_of) != len(seq):
+        raise error("a half-edge appears in two face positions")
+    try:
+        partner = tuple([new_of[alpha[h]] for h in seq])
+    except KeyError:
+        raise error("the face words are not closed under the pairing") from None
+    faces = _layout(tuple(map(len, words)))
+    for r, s in zip(faces.roots, faces.plants):
+        if partner[r] != s:
+            raise error("a face root is not paired with its plant")
+    return CellularMap(faces, partner)
 
 
 def canonicalize(
@@ -415,7 +461,7 @@ def canonicalize(
     element and must be paired with the first).  The relabeling is
     order-isomorphic: position in the concatenated cycles becomes the new id.
     Two inputs yield equal maps exactly when they are identical as labelled
-    planted maps.
+    planted maps.  :func:`_build` relabels; its faults raise :class:`SizeMismatch`.
     """
     cycles = [tuple(c) for c in cycles]
     if len(cycles) != k:
@@ -423,26 +469,16 @@ def canonicalize(
     for c in cycles:
         if len(c) < 2:
             raise ValidationError("each face needs at least a root and a plant")
-    relabel: dict[int, int] = {}
-    new = 0
-    for c in cycles:
-        for h in c:
-            if h in relabel:
-                raise ValidationError(f"half-edge {h} appears in two cycles")
-            relabel[h] = new
-            new += 1
-    if set(alpha) != set(relabel):
+    if set(alpha) != set(chain.from_iterable(cycles)):
         raise SizeMismatch("alpha domain differs from the union of the cycles")
     for c in cycles:
         if alpha[c[0]] != c[-1]:
             raise PlantNotPairedWithRoot(
                 f"cycle starting at {c[0]} ends at {c[-1]}, not at its root's partner"
             )
-    faces = FaceStructure(tuple(len(c) - 2 for c in cycles))
-    partner = [0] * faces.total_half_edges
-    for h, p in alpha.items():
-        partner[relabel[h]] = relabel[p]
-    return validate(faces, partner)
+    m = _build(alpha, cycles, SizeMismatch)
+    _check_involution(m.alpha)
+    return m
 
 
 def decode(text: str) -> CellularMap:
@@ -477,8 +513,4 @@ def decode(text: str) -> CellularMap:
         if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise ParseError("alpha must be a list of id pairs")
     faces = FaceStructure(tuple(interiors))
-    total = faces.total_half_edges
-    # Checked before the partner array is allocated from ``interiors``.
-    if 2 * len(alpha_pairs) != total:
-        raise SizeMismatch(f"alpha has {len(alpha_pairs)} pairs, map has {total} half-edges")
-    return _planted(faces, involution_from_pairs(alpha_pairs, total))
+    return _planted(faces, involution_from_pairs(alpha_pairs, faces.total_half_edges))

@@ -111,8 +111,14 @@ def test_show(capsys):
 
 
 def test_show_invalid_map_exit_2(capsys):
-    code, _, err = run(capsys, "show", "--map", "{broken")
-    assert code == 2 and "error" in err
+    # Malformed JSON, then well-formed documents whose alpha has a fixed
+    # point, an id paired twice, an unpaired id, a plant not paired with its root.
+    for alpha in (None, [[0, 5], [1, 1], [2, 4]], [[0, 5], [1, 3], [3, 2]], [[0, 5], [1, 3]],
+                  [[0, 2], [1, 5], [3, 4]]):
+        text = "{broken" if alpha is None else json.dumps({"k": 1, "interiors": [4], "alpha": alpha})
+        code, out, err = run(capsys, "show", "--map", text)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_export_csv(tmp_path, capsys):

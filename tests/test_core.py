@@ -162,6 +162,22 @@ def test_canonicalize_rejects_unfixed_plant():
         canonicalize(1, ((1, 2, 3, 0),), alpha)
 
 
+@pytest.mark.parametrize(
+    "cycles, alpha, exc",
+    [
+        # alpha's domain is the union of the cycles, but it sends 1 to 7
+        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 7, 2: 1}, SizeMismatch),
+        (((0, 1, 1, 3),), {0: 3, 3: 0, 1: 1}, SizeMismatch),
+        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 1, 2: 2}, HasFixedPoint),
+        (((0, 1, 2, 4, 3),), {0: 3, 3: 0, 1: 2, 2: 4, 4: 1}, NotInvolution),
+    ],
+    ids=["leaves_the_cycles", "repeated_id", "fixed_point", "not_involution"],
+)
+def test_canonicalize_rejects_malformed_alpha(cycles, alpha, exc):
+    with pytest.raises(exc):
+        canonicalize(1, cycles, alpha)
+
+
 def test_encode_examples():
     assert json.loads(EPS.encode()) == {
         "schema_version": 1,
@@ -270,13 +286,26 @@ def test_from_np_pairs_rejects_bad_index():
 # Malformed pairings of a two-edge one-face map (ids 0..5, interior 1..4):
 # the ``alpha`` of a ``decode`` document, the same fault as ``from_np_pairs``
 # interior pairs (None where that entry point supplies the root/plant pair
-# itself), and the exception class both must raise.
+# itself), as a ``validate`` partner array (-1 at an unpaired id), and the
+# exception class all three must raise.
 MALFORMED_ALPHA = {
-    "id_out_of_range": ([[0, 5], [1, 3], [2, 6]], [(1, 3), (2, 5)], SizeMismatch),
-    "fixed_point": ([[0, 5], [1, 1], [2, 4]], [(1, 1), (2, 4)], HasFixedPoint),
-    "paired_twice": ([[0, 5], [1, 3], [3, 2]], [(1, 3), (3, 2)], NotInvolution),
-    "unpaired_id": ([[0, 5], [1, 3]], [(1, 3)], SizeMismatch),
-    "plant_not_paired_with_root": ([[0, 2], [1, 5], [3, 4]], None, PlantNotPairedWithRoot),
+    "id_out_of_range": (
+        [[0, 5], [1, 3], [2, 6]], [(1, 3), (2, 5)], (5, 3, 6, 1, 2, 0), SizeMismatch
+    ),
+    "fixed_point": (
+        [[0, 5], [1, 1], [2, 4]], [(1, 1), (2, 4)], (5, 1, 4, 3, 2, 0), HasFixedPoint
+    ),
+    "paired_twice": (
+        [[0, 5], [1, 3], [3, 2]], [(1, 3), (3, 2)], (5, 3, 3, 1, 2, 0), NotInvolution
+    ),
+    "unpaired_id": ([[0, 5], [1, 3]], [(1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch),
+    # as many pairs as a full pairing, so an id is left unpaired
+    "repeated_pair": (
+        [[0, 5], [1, 3], [1, 3]], [(1, 3), (1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch
+    ),
+    "plant_not_paired_with_root": (
+        [[0, 2], [1, 5], [3, 4]], None, (2, 5, 0, 4, 3, 1), PlantNotPairedWithRoot
+    ),
 }
 
 
@@ -284,18 +313,20 @@ MALFORMED_ALPHA = {
     "case, entry",
     [
         (case, entry)
-        for case, (_, np_pairs, _) in MALFORMED_ALPHA.items()
-        for entry in ("decode", "from_np_pairs")
-        if entry == "decode" or np_pairs is not None
+        for case, (_, np_pairs, _, _) in MALFORMED_ALPHA.items()
+        for entry in ("decode", "from_np_pairs", "validate")
+        if entry != "from_np_pairs" or np_pairs is not None
     ],
 )
 def test_malformed_alpha_raises_one_class(case, entry):
-    doc_alpha, np_pairs, exc = MALFORMED_ALPHA[case]
+    doc_alpha, np_pairs, partner, exc = MALFORMED_ALPHA[case]
     with pytest.raises(exc):
         if entry == "decode":
             decode(json.dumps({"k": 1, "interiors": [4], "alpha": doc_alpha}))
-        else:
+        elif entry == "from_np_pairs":
             from_np_pairs((4,), np_pairs)
+        else:
+            validate((4,), partner)
 
 
 def _check_flat_genus(m):
