@@ -273,6 +273,19 @@ def _eta_domain(i: int, pc: PartitionClass) -> bool:
     return any(dom in ETA_DOMAINS[i] for dom in domains(pc))
 
 
+#: eta5..eta7 as (first, second): eta_i is eta_second after eta_first.
+_ETA_STEPS = {5: (3, 1), 6: (4, 1), 7: (3, 3)}
+
+
+def _forced_marks(i: int, u: CellularMap, last: int) -> tuple[int, int]:
+    """The marks of eta_inv(i), i <= 4, on ``u`` with last interior id
+    ``last``: the root and ``last`` (wrap pair), h2 and ``last`` (tail pair),
+    the root twice or h2 twice (pendant pair of branch 1 or 2).  eta(i)
+    contracts the pair inserted there, reading h2 off its own input."""
+    h2 = _root_start(u)[1] if i in (2, 4) else 0
+    return (h2, last) if i <= 2 else (h2, h2)
+
+
 def eta(i: int, u: CellularMap) -> CellularMap:
     """Class bijections: contractions at the forced positions.
 
@@ -283,43 +296,20 @@ def eta(i: int, u: CellularMap) -> CellularMap:
     pc = classify(u)
     if not _eta_domain(i, pc):
         raise WrongClass(f"eta{i} does not apply to class {pc.leaf} (flags {pc})")
-    if i == 5:
-        return eta(1, eta(3, u))
-    if i == 6:
-        return eta(1, eta(4, u))
-    if i == 7:
-        return eta(3, eta(3, u))
-    last = 2 * u.np_edge_count
-    if i == 1:
-        edge = (1, last)
-    elif i == 2:
-        edge = (_root_start(u)[1] + 1, last)
-    elif i == 3:
-        edge = (1, 2)
-    else:
-        h2 = _root_start(u)[1]
-        edge = (h2 + 1, h2 + 2)
-    out, _ = contract(u, edge)
+    if i in _ETA_STEPS:
+        first, second = _ETA_STEPS[i]
+        return eta(second, eta(first, u))
+    out, _ = contract(u, inserted_edge_ids(*_forced_marks(i, u, 2 * u.np_edge_count - 2)))
     return out
 
 
 def eta_inv(i: int, u: CellularMap) -> CellularMap:
     """Inverses of eta1..eta7 via edge insertion at the forced marks."""
-    if i == 1:
-        out = insert_edge(u, 0, 2 * u.np_edge_count)
-    elif i == 2:
-        out = insert_edge(u, _root_start(u)[1], 2 * u.np_edge_count)
-    elif i == 3:
-        out = insert_edge(u, 0, 0)
-    elif i == 4:
-        h2 = _root_start(u)[1]
-        out = insert_edge(u, h2, h2)
-    elif i == 5:
-        out = eta_inv(3, eta_inv(1, u))
-    elif i == 6:
-        out = eta_inv(4, eta_inv(1, u))
-    elif i == 7:
-        out = eta_inv(3, eta_inv(3, u))
+    if i in _ETA_STEPS:
+        first, second = _ETA_STEPS[i]
+        out = eta_inv(first, eta_inv(second, u))
+    elif i in ETA_DOMAINS:
+        out = insert_edge(u, *_forced_marks(i, u, 2 * u.np_edge_count))
     else:
         raise ValueError(f"eta index must be 1..7, got {i}")
     check_invariant(_eta_domain(i, classify(out)), f"eta_inv({i}) left the domain of eta{i}")

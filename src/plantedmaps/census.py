@@ -19,12 +19,15 @@ relabelled by first appearance, so that disconnected maps drop out.  Each
 state carries its count of pairings per number of sigma-cycles closed.
 Counting is exact.  The partition histogram runs the one-face pass with a
 root-cycle tag added to each state
-(:func:`plantedmaps.partition._census_class_counts`).
+(:func:`plantedmaps.partition._census_class_counts`).  Both passes take the
+ends after each close move from one cached table per ``ends`` value,
+:func:`_closes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, check_invariant
@@ -178,6 +181,21 @@ def _join(ends: list[int], start: int) -> int:
     return 0
 
 
+@lru_cache(maxsize=8192)
+def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
+    """For each open chord ``j`` of a scan state with path ends ``ends``, the
+    ends after the current position closes it (later chords renumbered) and
+    1 if that closes a sigma-cycle.  Both passes read their moves here; the
+    bound holds every ``ends`` of ``verify --relation theorem --max-n 8``."""
+    moves = []
+    for j in range(len(ends) - 1):
+        path = list(ends)
+        closed = _join(path, j + 1)
+        path[-1] = path.pop(j)
+        moves.append((bytes([x - 1 if x > j + 1 else x for x in path]), closed))
+    return tuple(moves)
+
+
 def _cycle_census(k: int, n: int) -> list[int]:
     """Connected ``k``-face pairings with ``n`` non-plant edges, summed over
     every face layout, counted by the number of sigma-cycles closed before
@@ -218,19 +236,15 @@ def _cycle_census(k: int, n: int) -> list[int]:
                 if m < room:  # room left to close the new chord too
                     _merge(out, ends + bytes((m + 1,)) + labels + labels[m:], counts, 0)
                 face = labels[m]
-                for j in range(m):
-                    path = list(ends)
-                    closed = _join(path, j + 1)
-                    path[-1] = path.pop(j)
-                    key = [x - 1 if x > j + 1 else x for x in path]
+                for j, (path, closed) in enumerate(_closes(ends)):
                     # chord j's component joins the face's; relabel by first appearance
                     first: dict[int, int] = {}
-                    key += [
+                    key = path + bytes([
                         first.setdefault(face if x == labels[j] else x, len(first))
                         for i, x in enumerate(labels)
                         if i != j
-                    ]
-                    _merge(out, bytes(key), counts, closed)
+                    ])
+                    _merge(out, key, counts, closed)
         layers = step
     # Every chord is closed by now, so one state is left: the last face's
     # frontier path, which its end closes.

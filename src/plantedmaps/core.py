@@ -351,19 +351,22 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
     return _planted(faces, partner)
 
 
-def _check_involution(partner: Sequence[int]) -> None:
+def _check_involution(partner: Sequence[int], ids: Sequence[int] | None = None) -> None:
     """The one per-id check of a partner array: each entry an id, none fixed,
-    each paired back; ``-1`` (unpaired) fails the range check."""
+    each paired back; ``-1`` (unpaired) fails the range check.  The errors
+    call position ``h`` by ``ids[h]``, the caller's id for it (default ``h``)."""
     total = len(partner)
+    if ids is None:
+        ids = range(total)
     for h, p in enumerate(partner):
         if not 0 <= p < total:
             raise SizeMismatch(
-                f"half-edge {h} is unpaired" if p == -1 else f"alpha({h}) = {p} out of range"
+                f"half-edge {ids[h]} is unpaired" if p == -1 else f"alpha({ids[h]}) = {p} out of range"
             )
         if p == h:
-            raise HasFixedPoint(f"alpha fixes half-edge {h}")
+            raise HasFixedPoint(f"alpha fixes half-edge {ids[h]}")
         if partner[p] != h:
-            raise NotInvolution(f"alpha(alpha({h})) = {partner[p]} != {h}")
+            raise NotInvolution(f"alpha(alpha({ids[h]})) = {ids[partner[p]]} != {ids[h]}")
 
 
 def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
@@ -469,7 +472,8 @@ def canonicalize(
     for c in cycles:
         if len(c) < 2:
             raise ValidationError("each face needs at least a root and a plant")
-    if set(alpha) != set(chain.from_iterable(cycles)):
+    ids = list(chain.from_iterable(cycles))
+    if set(alpha) != set(ids):
         raise SizeMismatch("alpha domain differs from the union of the cycles")
     for c in cycles:
         if alpha[c[0]] != c[-1]:
@@ -477,7 +481,7 @@ def canonicalize(
                 f"cycle starting at {c[0]} ends at {c[-1]}, not at its root's partner"
             )
     m = _build(alpha, cycles, SizeMismatch)
-    _check_involution(m.alpha)
+    _check_involution(m.alpha, ids)
     return m
 
 

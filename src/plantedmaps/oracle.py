@@ -169,6 +169,18 @@ def double_factorial_odd(n: int) -> int:
 # the census and partition modules lazily.
 
 
+def _row(relation: str, g: int | None, n: int, census: int, reference: int) -> dict:
+    """One report row: a census value against its reference."""
+    return {
+        "relation": relation,
+        "g": g,
+        "n": n,
+        "census": str(census),
+        "reference": str(reference),
+        "ok": census == reference,
+    }
+
+
 def verify_hz(max_n: int) -> list[dict]:
     """Per-(g,n) comparison of census one-face counts with the recurrence."""
     from plantedmaps import census
@@ -177,22 +189,8 @@ def verify_hz(max_n: int) -> list[dict]:
     reports = []
     for n in range(max_n + 1):
         tbl = census.count("unicellular", n)
-        for g in range(n // 2 + 1):
-            c, r = tbl.get(g, n), hz(g, n)
-            reports.append(
-                {"relation": "hz", "g": g, "n": n, "census": str(c), "reference": str(r), "ok": c == r}
-            )
-        total, ref_total = tbl.total(n), double_factorial_odd(n)
-        reports.append(
-            {
-                "relation": "hz-total",
-                "g": None,
-                "n": n,
-                "census": str(total),
-                "reference": str(ref_total),
-                "ok": total == ref_total,
-            }
-        )
+        reports += [_row("hz", g, n, tbl.get(g, n), hz(g, n)) for g in range(n // 2 + 1)]
+        reports.append(_row("hz-total", None, n, tbl.total(n), double_factorial_odd(n)))
     return reports
 
 
@@ -205,18 +203,9 @@ def verify_bicellular(max_n: int) -> list[dict]:
     reports = []
     for n in range(max_n + 1):
         tbl = census.count("bicellular", n)
-        for g in range(n // 2 + 1):
-            c, r = tbl.get(g, n), bicellular(g, n)
-            reports.append(
-                {
-                    "relation": "bicellular",
-                    "g": g,
-                    "n": n,
-                    "census": str(c),
-                    "reference": str(r),
-                    "ok": c == r,
-                }
-            )
+        reports += [
+            _row("bicellular", g, n, tbl.get(g, n), bicellular(g, n)) for g in range(n // 2 + 1)
+        ]
     return reports
 
 

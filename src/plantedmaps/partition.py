@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import N_MAX, _join, _merge
+from plantedmaps.census import N_MAX, _closes, _merge
 from plantedmaps.core import BoundExceeded, CellularMap, MapError
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -324,12 +324,9 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
                 if m < room:  # room left to close the new chord too
                     out = step.setdefault(_next_tag(tag, -1, m, p, last), {})
                     _merge(out, ends + bytes((m + 1,)), counts, 0)
-                for j in range(m):
-                    path = list(ends)
-                    closed = _join(path, j + 1)
-                    path[-1] = path.pop(j)
+                for j, (path, closed) in enumerate(_closes(ends)):
                     out = step.setdefault(_next_tag(tag, j, m, p, last), {})
-                    _merge(out, bytes([x - 1 if x > j + 1 else x for x in path]), counts, closed)
+                    _merge(out, path, counts, closed)
         layer = step
     tally: dict[tuple[int, str], int] = {}
     for tag, states in layer.items():

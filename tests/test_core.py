@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -163,18 +164,21 @@ def test_canonicalize_rejects_unfixed_plant():
 
 
 @pytest.mark.parametrize(
-    "cycles, alpha, exc",
+    "cycles, alpha, exc, message",
     [
         # alpha's domain is the union of the cycles, but it sends 1 to 7
-        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 7, 2: 1}, SizeMismatch),
-        (((0, 1, 1, 3),), {0: 3, 3: 0, 1: 1}, SizeMismatch),
-        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 1, 2: 2}, HasFixedPoint),
-        (((0, 1, 2, 4, 3),), {0: 3, 3: 0, 1: 2, 2: 4, 4: 1}, NotInvolution),
+        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 7, 2: 1}, SizeMismatch, "not closed"),
+        (((0, 1, 1, 3),), {0: 3, 3: 0, 1: 1}, SizeMismatch, "two face positions"),
+        (((0, 1, 2, 3),), {0: 3, 3: 0, 1: 1, 2: 2}, HasFixedPoint, "fixes half-edge 1"),
+        # The errors name the caller's ids, not their positions: alpha(alpha(1))
+        # is alpha(2) = 4, at position 3; the fixed id 5 is at position 1.
+        (((0, 1, 2, 4, 3),), {0: 3, 3: 0, 1: 2, 2: 4, 4: 1}, NotInvolution, "alpha(alpha(1)) = 4 != 1"),
+        (((0, 5, 7, 3),), {0: 3, 3: 0, 5: 5, 7: 7}, HasFixedPoint, "fixes half-edge 5"),
     ],
-    ids=["leaves_the_cycles", "repeated_id", "fixed_point", "not_involution"],
+    ids=["leaves_the_cycles", "repeated_id", "fixed_point", "not_involution", "fixed_point_relabelled"],
 )
-def test_canonicalize_rejects_malformed_alpha(cycles, alpha, exc):
-    with pytest.raises(exc):
+def test_canonicalize_rejects_malformed_alpha(cycles, alpha, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
         canonicalize(1, cycles, alpha)
 
 

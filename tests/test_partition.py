@@ -2,8 +2,9 @@ import pytest
 
 from conftest import uni
 from plantedmaps import oracle
-from plantedmaps.census import N_MAX, unicellular_stream
+from plantedmaps.census import N_MAX, count, unicellular_stream
 from plantedmaps.partition import (
+    LEAVES,
     PENDANT_DOMAINS,
     BoundExceeded,
     PartitionClass,
@@ -232,3 +233,13 @@ def test_census_class_counts_match_the_object_path(m):
             key = (mp.genus(), dom)
             expected[key] = expected.get(key, 0) + 1
     assert _census_class_counts(m) == expected
+
+
+@pytest.mark.parametrize("m", range(7, N_MAX["unicellular"] + 1))
+def test_census_class_counts_sum_to_the_census_per_genus(m):
+    # Past the object path's window: the leaf pass and the census pass share
+    # the close moves, so summing the leaves of every genus (0 and 1
+    # included, which histogram never reads) must give count().
+    counts = _census_class_counts(m)
+    per_genus = [sum(counts.get((g, leaf), 0) for leaf in LEAVES) for g in range(m // 2 + 1)]
+    assert per_genus == [count("unicellular", m).get(g, m) for g in range(m // 2 + 1)]
