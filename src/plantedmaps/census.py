@@ -15,8 +15,11 @@ each path end (each open chord's A end, then the frontier at the current
 position), the start that path began at: 0 for the current face's root
 in-port, ``j + 1`` for open chord ``j``'s B end.  With two or more faces it
 also records each open chord's face component and the current face's,
-relabelled by first appearance, so that disconnected maps drop out.  Each
-state carries its count of pairings per number of sigma-cycles closed.
+relabelled by first appearance, so that disconnected maps drop out; while
+they are all 0 (one component) a close move needs no relabelling.  Each
+state carries its count of pairings per number of sigma-cycles closed,
+packed into one int with a fixed-width slot per cycle number
+(:func:`_slot_width`), so that merging two states is one addition.
 Counting is exact.  The partition histogram runs the one-face pass with a
 root-cycle tag added to each state
 (:func:`plantedmaps.partition._census_class_counts`).  Both passes take the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb, prod
 from typing import Iterator
 
 from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, check_invariant
@@ -158,17 +162,30 @@ def tricellular_stream(n: int, connected_only: bool = True) -> Iterator[Cellular
     yield from _cellular_stream(3, n, connected_only)
 
 
-def _merge(layer: dict, key, counts: list[int], closed: int) -> None:
-    """Add ``counts``, moved up by ``closed`` cycles, to ``layer[key]``."""
-    cur = layer.get(key)
-    if cur is None:
-        layer[key] = [0] * closed + counts
-        return
-    grow = len(counts) + closed - len(cur)
-    if grow > 0:
-        cur.extend([0] * grow)
-    for i, c in enumerate(counts, closed):
-        cur[i] += c
+def _slot_width(k: int, n: int) -> int:
+    """Bits per cycle-count slot in the packed counts of a ``k``-face pass
+    with ``n`` non-plant edges.
+
+    A state's slot ``i`` counts distinct kept prefixes (a face layout begun
+    and a partial pairing).  Every kept prefix extends to a complete
+    pairing of a complete layout, and distinct prefixes to distinct ones,
+    so no slot, and no sum of slots merged into one state, exceeds the
+    ``comb(2n + k - 1, k - 1) * (2n - 1)!!`` (layout, pairing) pairs.  A
+    slot as wide as that number's bit length holds any such count, so slots
+    never carry into each other; the width adds one bit of margin.
+    """
+    pairs = comb(2 * n + k - 1, k - 1) * prod(range(1, 2 * n, 2))
+    return pairs.bit_length() + 1
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """The slots of ``packed``, lowest first, up to the last non-zero one."""
+    mask = (1 << width) - 1
+    out = []
+    while packed:
+        out.append(packed & mask)
+        packed >>= width
+    return out
 
 
 def _join(ends: list[int], start: int) -> int:
@@ -208,33 +225,48 @@ def _cycle_census(k: int, n: int) -> list[int]:
     state with ``b + 1`` faces begun to its counts.  Before each position
     any face but the last may end, which folds every layout of
     ``compositions(2n, k)`` into the pass.
+
+    A state's counts are one int: the count with ``i`` cycles closed sits at
+    bit offset ``i * width`` (:func:`_slot_width` says why slots never
+    carry), so a move that closes a cycle shifts them up one slot and a merge
+    is one addition.  When every label is 0 (one component: every state on
+    one face and most connected ones) a close move leaves the labels
+    ``labels[1:]``, with no relabelling.
     """
     span = 2 * n
-    layers: list[dict[bytes, list[int]]] = [{} for _ in range(k)]
-    layers[0][b"\0\0"] = [1]
+    width = _slot_width(k, n)
+    layers: list[dict[bytes, int]] = [{} for _ in range(k)]
+    layers[0][b"\0\0"] = 1
     for pos in range(span + 1):
         for b in range(k - 1):
+            out = layers[b + 1]
             for state, counts in layers[b].items():
                 m = len(state) // 2 - 1
                 labels = state[m + 1 :]
                 if labels[m] not in labels[:m]:
                     continue  # no open chord can join this face to a later one
-                key = list(state[: m + 1])
-                closed = _join(key, 0)
-                key[m] = 0  # the next face's root in-port
-                key += labels[:m]
-                key.append(max(labels) + 1)
-                _merge(layers[b + 1], bytes(key), counts, closed)
+                ends = list(state[: m + 1])
+                closed = _join(ends, 0)
+                ends[m] = 0  # the next face's root in-port
+                key = bytes(ends) + labels[:m] + bytes((max(labels) + 1,))
+                out[key] = out.get(key, 0) + (counts << width if closed else counts)
         if pos == span:
             break
         room = span - pos - 1
-        step: list[dict[bytes, list[int]]] = [{} for _ in range(k)]
+        step: list[dict[bytes, int]] = [{} for _ in range(k)]
         for layer, out in zip(layers, step):
             for state, counts in layer.items():
                 m = len(state) // 2 - 1
                 ends, labels = state[: m + 1], state[m + 1 :]
                 if m < room:  # room left to close the new chord too
-                    _merge(out, ends + bytes((m + 1,)) + labels + labels[m:], counts, 0)
+                    key = ends + bytes((m + 1,)) + labels + labels[m:]
+                    out[key] = out.get(key, 0) + counts
+                if labels.count(0) == m + 1:
+                    rest = labels[1:]
+                    for path, closed in _closes(ends):
+                        key = path + rest
+                        out[key] = out.get(key, 0) + (counts << width if closed else counts)
+                    continue
                 face = labels[m]
                 for j, (path, closed) in enumerate(_closes(ends)):
                     # chord j's component joins the face's; relabel by first appearance
@@ -244,11 +276,11 @@ def _cycle_census(k: int, n: int) -> list[int]:
                         for i, x in enumerate(labels)
                         if i != j
                     ])
-                    _merge(out, key, counts, closed)
+                    out[key] = out.get(key, 0) + (counts << width if closed else counts)
         layers = step
     # Every chord is closed by now, so one state is left: the last face's
     # frontier path, which its end closes.
-    return layers[k - 1].get(b"\0\0", [])
+    return _unpack(layers[k - 1].get(b"\0\0", 0), width)
 
 
 @dataclass

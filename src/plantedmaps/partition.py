@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import N_MAX, _closes, _merge
+from plantedmaps.census import N_MAX, _closes, _slot_width, _unpack
 from plantedmaps.core import BoundExceeded, CellularMap, MapError
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -311,10 +311,14 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     :func:`~plantedmaps.census._cycle_census` on one face: a state is the
     start of each open sigma-path end, here with a tag (:func:`_next_tag`)
     that follows the root cycle until the leaf is known, at ``h3`` at the
-    latest.  Each state carries its counts per number of sigma-cycles closed.
+    latest.  Each state carries its counts per number of sigma-cycles closed
+    packed into one int, slot ``i`` at bit offset ``i * width``, as there:
+    a move that closes a cycle shifts them up one slot, a merge is one
+    addition, and the slots are unpacked once at the end.
     """
     last = 2 * total_np
-    layer: dict = {("a",): {b"\0": [1]}}
+    width = _slot_width(1, total_np)
+    layer: dict = {("a",): {b"\0": 1}}
     for p in range(1, last + 1):
         room = last - p
         step: dict = {}
@@ -323,10 +327,11 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
                 m = len(ends) - 1
                 if m < room:  # room left to close the new chord too
                     out = step.setdefault(_next_tag(tag, -1, m, p, last), {})
-                    _merge(out, ends + bytes((m + 1,)), counts, 0)
+                    key = ends + bytes((m + 1,))
+                    out[key] = out.get(key, 0) + counts
                 for j, (path, closed) in enumerate(_closes(ends)):
                     out = step.setdefault(_next_tag(tag, j, m, p, last), {})
-                    _merge(out, path, counts, closed)
+                    out[path] = out.get(path, 0) + (counts << width if closed else counts)
         layer = step
     tally: dict[tuple[int, str], int] = {}
     for tag, states in layer.items():
@@ -334,7 +339,7 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
             isinstance(tag, PartitionClass) and list(states) == [b"\0"],
             "a one-face scan ended before its leaf was known",
         )
-        for closed, c in enumerate(states[b"\0"]):
+        for closed, c in enumerate(_unpack(states[b"\0"], width)):
             if not c:
                 continue
             # sigma has the fixed plant and closed + 1 further cycles
