@@ -166,16 +166,22 @@ def _slot_width(k: int, n: int) -> int:
     """Bits per cycle-count slot in the packed counts of a ``k``-face pass
     with ``n`` non-plant edges.
 
+    Both passes, this module's :func:`_cycle_census` and
+    :func:`plantedmaps.partition._census_class_counts`, pack a state's
+    counts into one int: the count with ``i`` cycles closed sits at bit
+    offset ``i * width``, a move that closes ``closed`` cycles adds
+    ``counts << closed * width``, and :func:`_unpack` reads the slots back.
+
     A state's slot ``i`` counts distinct kept prefixes (a face layout begun
     and a partial pairing).  Every kept prefix extends to a complete
     pairing of a complete layout, and distinct prefixes to distinct ones,
     so no slot, and no sum of slots merged into one state, exceeds the
     ``comb(2n + k - 1, k - 1) * (2n - 1)!!`` (layout, pairing) pairs.  A
     slot as wide as that number's bit length holds any such count, so slots
-    never carry into each other; the width adds one bit of margin.
+    never carry into each other.
     """
     pairs = comb(2 * n + k - 1, k - 1) * prod(range(1, 2 * n, 2))
-    return pairs.bit_length() + 1
+    return pairs.bit_length()
 
 
 def _unpack(packed: int, width: int) -> list[int]:
@@ -226,10 +232,9 @@ def _cycle_census(k: int, n: int) -> list[int]:
     any face but the last may end, which folds every layout of
     ``compositions(2n, k)`` into the pass.
 
-    A state's counts are one int: the count with ``i`` cycles closed sits at
-    bit offset ``i * width`` (:func:`_slot_width` says why slots never
-    carry), so a move that closes a cycle shifts them up one slot and a merge
-    is one addition.  When every label is 0 (one component: every state on
+    A state's counts are one int, packed as :func:`_slot_width` describes,
+    so a move that closes a cycle shifts them up one slot and a merge is one
+    addition.  When every label is 0 (one component: every state on
     one face and most connected ones) a close move leaves the labels
     ``labels[1:]``, with no relabelling.
     """
@@ -249,7 +254,7 @@ def _cycle_census(k: int, n: int) -> list[int]:
                 closed = _join(ends, 0)
                 ends[m] = 0  # the next face's root in-port
                 key = bytes(ends) + labels[:m] + bytes((max(labels) + 1,))
-                out[key] = out.get(key, 0) + (counts << width if closed else counts)
+                out[key] = out.get(key, 0) + (counts << closed * width)
         if pos == span:
             break
         room = span - pos - 1
@@ -265,7 +270,7 @@ def _cycle_census(k: int, n: int) -> list[int]:
                     rest = labels[1:]
                     for path, closed in _closes(ends):
                         key = path + rest
-                        out[key] = out.get(key, 0) + (counts << width if closed else counts)
+                        out[key] = out.get(key, 0) + (counts << closed * width)
                     continue
                 face = labels[m]
                 for j, (path, closed) in enumerate(_closes(ends)):
@@ -276,7 +281,7 @@ def _cycle_census(k: int, n: int) -> list[int]:
                         for i, x in enumerate(labels)
                         if i != j
                     ])
-                    out[key] = out.get(key, 0) + (counts << width if closed else counts)
+                    out[key] = out.get(key, 0) + (counts << closed * width)
         layers = step
     # Every chord is closed by now, so one state is left: the last face's
     # frontier path, which its end closes.

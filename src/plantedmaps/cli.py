@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 
 from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.core import InvariantError, MapError, decode
@@ -119,10 +118,7 @@ def cmd_show(a: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    keeps no state between calls, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="plantedmaps",
         description="Exact census, partition and bijection checks for planted cellular maps.",

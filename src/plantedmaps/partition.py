@@ -312,9 +312,8 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     start of each open sigma-path end, here with a tag (:func:`_next_tag`)
     that follows the root cycle until the leaf is known, at ``h3`` at the
     latest.  Each state carries its counts per number of sigma-cycles closed
-    packed into one int, slot ``i`` at bit offset ``i * width``, as there:
-    a move that closes a cycle shifts them up one slot, a merge is one
-    addition, and the slots are unpacked once at the end.
+    packed into one int in the layout of
+    :func:`~plantedmaps.census._slot_width`, unpacked once at the end.
     """
     last = 2 * total_np
     width = _slot_width(1, total_np)
@@ -331,7 +330,7 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
                     out[key] = out.get(key, 0) + counts
                 for j, (path, closed) in enumerate(_closes(ends)):
                     out = step.setdefault(_next_tag(tag, j, m, p, last), {})
-                    out[path] = out.get(path, 0) + (counts << width if closed else counts)
+                    out[path] = out.get(path, 0) + (counts << closed * width)
         layer = step
     tally: dict[tuple[int, str], int] = {}
     for tag, states in layer.items():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from plantedmaps import bijections, census, partition, roundtrips
-from plantedmaps.cli import build_parser, main
+from plantedmaps.cli import main
 from plantedmaps.core import InvariantError, from_np_pairs
 
 
@@ -159,19 +159,6 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
         capsys, "count", "--kind", "uni", "--edges", "2", "--output", str(path)
     )
     assert code == 2 and out == "" and err.startswith("error: ")
-
-
-def test_reused_parser_keeps_no_option_between_calls(tmp_path, capsys):
-    assert build_parser() is build_parser()
-    path = tmp_path / "bi3.txt"
-    code, out, _ = run(capsys, "count", "--kind", "bi", "--edges", "3", "--output", str(path))
-    assert (code, out) == (0, "")
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--kind", "quad", "--edges", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, out, _ = run(capsys, "count", "--kind", "bi", "--edges", "3")
-    assert code == 0 and out and out == path.read_text()
 
 
 @pytest.mark.parametrize(
