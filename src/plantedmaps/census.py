@@ -10,15 +10,15 @@ free.
 face layout at once (a transfer-matrix pass) and merges the pairings that
 agree on everything the rest of the scan can see.  Vertices are the cycles
 of ``sigma(h) = alpha(h + 1)``; a pairing read up to some position leaves
-open sigma-paths between the ends of its open chords.  A state records, for
-each path end (each open chord's A end, then the frontier at the current
-position), the start that path began at: 0 for the current face's root
-in-port, ``j + 1`` for open chord ``j``'s B end.  With two or more faces it
-also records each open chord's face component and the current face's,
-relabelled by first appearance, so that disconnected maps drop out; while
-they are all 0 (one component) a close move needs no relabelling.  Each
-state carries its count of pairings per number of sigma-cycles closed,
-packed into one int with a fixed-width slot per cycle number
+open sigma-paths between the ends of its open chords.  A state is only its
+path ends: for each path end (each open chord's A end, then the frontier at
+the current position), the start that path began at: 0 for the current
+face's root in-port, ``j + 1`` for open chord ``j``'s B end.  So the pass
+counts every pairing, connected or not, and :func:`_connected_census`
+subtracts the disconnected ones: each splits into the component of the
+first face and the rest, counted by the passes over fewer faces and edges.
+Each state carries its count of pairings per number of sigma-cycles closed, packed
+into one int with a fixed-width slot per cycle number
 (:func:`_slot_width`), so that merging two states is one addition.
 Counting is exact.  The partition histogram runs the one-face pass with a
 root-cycle tag added to each state
@@ -219,73 +219,78 @@ def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
     return tuple(moves)
 
 
-def _cycle_census(k: int, n: int) -> list[int]:
-    """Connected ``k``-face pairings with ``n`` non-plant edges, summed over
-    every face layout, counted by the number of sigma-cycles closed before
-    the last face ends.
+@lru_cache(maxsize=None)
+def _cycle_census(k: int, n: int) -> tuple[int, ...]:
+    """Every ``k``-face pairing with ``n`` non-plant edges, connected or
+    not, summed over every face layout, counted by the number of
+    sigma-cycles closed before the last face ends.
 
-    A state with ``m`` open chords is ``2(m + 1)`` bytes: the start of each
-    path end, then the face-component label of each open chord and of the
-    current face (all 0 on one face).  Bytes keep the many short-lived keys
-    compact; every value is at most ``max(n, k)``.  ``layers[b]`` maps each
-    state with ``b + 1`` faces begun to its counts.  Before each position
-    any face but the last may end, which folds every layout of
-    ``compositions(2n, k)`` into the pass.
+    A state with ``m`` open chords is its ``m + 1`` path-end bytes, the
+    start of each path end; every value is at most ``n``.  ``layers[b]``
+    maps each state with ``b + 1`` faces begun to its counts.  Before each
+    position any face but the last may end, which folds every layout of
+    ``compositions(2n, k)`` into the pass.  The states carry no face
+    components: :func:`_connected_census` removes the disconnected pairings
+    afterwards.
 
     A state's counts are one int, packed as :func:`_slot_width` describes,
     so a move that closes a cycle shifts them up one slot and a merge is one
-    addition.  When every label is 0 (one component: every state on
-    one face and most connected ones) a close move leaves the labels
-    ``labels[1:]``, with no relabelling.
+    addition.
     """
     span = 2 * n
     width = _slot_width(k, n)
     layers: list[dict[bytes, int]] = [{} for _ in range(k)]
-    layers[0][b"\0\0"] = 1
+    layers[0][b"\0"] = 1
     for pos in range(span + 1):
         for b in range(k - 1):
             out = layers[b + 1]
             for state, counts in layers[b].items():
-                m = len(state) // 2 - 1
-                labels = state[m + 1 :]
-                if labels[m] not in labels[:m]:
-                    continue  # no open chord can join this face to a later one
-                ends = list(state[: m + 1])
+                ends = list(state)
                 closed = _join(ends, 0)
-                ends[m] = 0  # the next face's root in-port
-                key = bytes(ends) + labels[:m] + bytes((max(labels) + 1,))
+                ends[-1] = 0  # the next face's root in-port
+                key = bytes(ends)
                 out[key] = out.get(key, 0) + (counts << closed * width)
         if pos == span:
             break
         room = span - pos - 1
         step: list[dict[bytes, int]] = [{} for _ in range(k)]
         for layer, out in zip(layers, step):
-            for state, counts in layer.items():
-                m = len(state) // 2 - 1
-                ends, labels = state[: m + 1], state[m + 1 :]
+            for ends, counts in layer.items():
+                m = len(ends) - 1
                 if m < room:  # room left to close the new chord too
-                    key = ends + bytes((m + 1,)) + labels + labels[m:]
+                    key = ends + bytes((m + 1,))
                     out[key] = out.get(key, 0) + counts
-                if labels.count(0) == m + 1:
-                    rest = labels[1:]
-                    for path, closed in _closes(ends):
-                        key = path + rest
-                        out[key] = out.get(key, 0) + (counts << closed * width)
-                    continue
-                face = labels[m]
-                for j, (path, closed) in enumerate(_closes(ends)):
-                    # chord j's component joins the face's; relabel by first appearance
-                    first: dict[int, int] = {}
-                    key = path + bytes([
-                        first.setdefault(face if x == labels[j] else x, len(first))
-                        for i, x in enumerate(labels)
-                        if i != j
-                    ])
-                    out[key] = out.get(key, 0) + (counts << closed * width)
+                for path, closed in _closes(ends):
+                    out[path] = out.get(path, 0) + (counts << closed * width)
         layers = step
     # Every chord is closed by now, so one state is left: the last face's
     # frontier path, which its end closes.
-    return _unpack(layers[k - 1].get(b"\0\0", 0), width)
+    return tuple(_unpack(layers[k - 1].get(b"\0", 0), width))
+
+
+@lru_cache(maxsize=None)
+def _connected_census(k: int, n: int) -> tuple[int, ...]:
+    """:func:`_cycle_census` restricted to connected pairings, in as many
+    slots (the last ones may be 0).
+
+    A disconnected pairing splits into the component holding the first
+    face, a connected pairing of the sub-layout of its ``s < k`` faces with
+    ``a`` edges, and any pairing of the other ``k - s`` faces with the other
+    ``n - a`` edges; the ``s - 1`` other faces of the first component are
+    any of the ``k - 1`` later ones.  Slot ``i`` holds the pairings with
+    ``i + 1`` non-plant sigma-cycles, and the cycles of the two parts add,
+    so slots ``i`` and ``j`` give slot ``i + j + 1`` (the exponential
+    formula, Stanley, *Enumerative Combinatorics* 2, section 5.1).
+    """
+    out = list(_cycle_census(k, n))
+    for s in range(1, k):
+        for a in range(n + 1):
+            first, rest = _connected_census(s, a), _cycle_census(k - s, n - a)
+            for i, x in enumerate(first):
+                for j, y in enumerate(rest):
+                    out[i + j + 1] -= comb(k - 1, s - 1) * x * y
+    check_invariant(min(out) >= 0, f"{k}-face census at n = {n}: negative count")
+    return tuple(out)
 
 
 @dataclass
@@ -336,7 +341,7 @@ def count(kind: str, n: int) -> CountTable:
     kind = check_bound(kind, n)
     k = {"unicellular": 1, "bicellular": 2, "tricellular": 3}[kind]
     tally = [0] * (n // 2 + 1)
-    for closed, c in enumerate(_cycle_census(k, n)):
+    for closed, c in enumerate(_connected_census(k, n)):
         if c:
             # sigma has k fixed plants and closed + 1 further cycles
             two_g = n + 1 - k - closed

@@ -209,13 +209,6 @@ def verify_bicellular(max_n: int) -> list[dict]:
     return reports
 
 
-@lru_cache(maxsize=32)
-def _census_tricellular(n: int):
-    from plantedmaps import census
-
-    return census.count("tricellular", n)
-
-
 def check_theorem_bound(n: int) -> None:
     """Reject an edge index beyond the census the theorem check reads,
     before any work is done."""
@@ -234,7 +227,7 @@ def verify_theorem(g: int, n: int) -> dict:
     cross-checks every partition class cardinality against its bijection
     target.
     """
-    from plantedmaps import partition
+    from plantedmaps import census, partition
 
     if n < 0 or g < 0:
         raise BoundExceeded("g and n must be non-negative")
@@ -244,7 +237,7 @@ def verify_theorem(g: int, n: int) -> dict:
     lhs_ref = t.u(g + 2, n + 2)
     hist = partition.histogram(g, n)
     lhs_census = hist.total
-    t_census = _census_tricellular(n).get(g, n)
+    t_census = census.count("tricellular", n).get(g, n)
     d = t.d_value(g, n)
     term_u1 = 4 * t.u(g + 2, n + 1)
     term_u0 = 3 * t.u(g + 2, n)

@@ -1,11 +1,14 @@
 from functools import partial
+from math import comb
 
 import pytest
 
 from conftest import catalan, double_factorial_odd, mk, uni
 from plantedmaps import oracle
 from plantedmaps.census import (
+    N_MAX,
     BoundExceeded,
+    _cycle_census,
     bicellular_stream,
     count,
     count_range,
@@ -133,6 +136,26 @@ def test_count_matches_stream_tally():
             tbl = count(kind, n)
             for g in range(n // 2 + 1):
                 assert tbl.get(g, n) == tally.get(g, 0), (kind, g, n)
+
+
+@pytest.mark.parametrize("k, kind", [(1, "unicellular"), (2, "bicellular"), (3, "tricellular")])
+def test_cycle_census_counts_every_layout_and_pairing(k, kind):
+    # The all-pairings pass on its own, so that a fault in it cannot cancel
+    # against one in the subtraction of the disconnected pairings.
+    for n in range(N_MAX[kind] + 1):
+        pairs = comb(2 * n + k - 1, k - 1) * double_factorial_odd(n)
+        assert sum(_cycle_census(k, n)) == pairs, n
+
+
+@pytest.mark.parametrize("k, stream, n_max", [(2, bicellular_stream, 4), (3, tricellular_stream, 3)])
+def test_cycle_census_matches_the_tally_of_all_pairings(k, stream, n_max):
+    for n in range(n_max + 1):
+        tally = {}
+        for m in stream(n, connected_only=False):
+            closed = m.vertex_count - k - 1
+            tally[closed] = tally.get(closed, 0) + 1
+        expected = [tally.get(i, 0) for i in range(max(tally, default=-1) + 1)]
+        assert list(_cycle_census(k, n)) == expected, n
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,7 @@ def test_bounds_are_checked_before_any_work(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(census, "_pairings", work)
     monkeypatch.setattr(census, "_cycle_census", work)
+    monkeypatch.setattr(census, "_connected_census", work)
     monkeypatch.setattr(partition, "_census_class_counts", work)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
