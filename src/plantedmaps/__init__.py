@@ -19,7 +19,7 @@ from plantedmaps.census import (
     tricellular_stream,
     unicellular_stream,
 )
-from plantedmaps.partition import Branches, PartitionClass, V1Profile, classify, histogram
+from plantedmaps.partition import PartitionClass, V1Profile, classify, histogram
 from plantedmaps.oracle import bicellular, d_value, hz, theorem_rhs, verify_theorem
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "CountTable",
-    "Branches",
     "PartitionClass",
     "V1Profile",
     "canonicalize",

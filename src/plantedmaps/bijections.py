@@ -286,6 +286,12 @@ def _forced_marks(i: int, u: CellularMap, last: int) -> tuple[int, int]:
     return (h2, last) if i <= 2 else (h2, h2)
 
 
+def eta_edge(i: int, u: CellularMap) -> tuple[int, int]:
+    """The pair eta(i), i <= 4, contracts on ``u``: the one eta_inv(i)
+    inserts on the image, one edge smaller."""
+    return inserted_edge_ids(*_forced_marks(i, u, 2 * u.np_edge_count - 2))
+
+
 def eta(i: int, u: CellularMap) -> CellularMap:
     """Class bijections: contractions at the forced positions.
 
@@ -299,7 +305,7 @@ def eta(i: int, u: CellularMap) -> CellularMap:
     if i in _ETA_STEPS:
         first, second = _ETA_STEPS[i]
         return eta(second, eta(first, u))
-    out, _ = contract(u, inserted_edge_ids(*_forced_marks(i, u, 2 * u.np_edge_count - 2)))
+    out, _ = contract(u, eta_edge(i, u))
     return out
 
 

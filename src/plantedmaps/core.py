@@ -183,10 +183,6 @@ class CellularMap:
         return self.faces.total_half_edges
 
     @property
-    def n_edges(self) -> int:
-        return self.faces.total_half_edges // 2
-
-    @property
     def np_edge_count(self) -> int:
         faces = self.faces
         return faces.total_half_edges // 2 - faces.k

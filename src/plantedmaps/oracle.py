@@ -4,18 +4,22 @@ One-face counts come from the Harer-Zagier recurrence
 
     (n+1) u(g,n) = 2(2n-1) u(g,n-1) + (2n-1)(n-1)(2n-3) u(g-1,n-2)
 
-with u(0,0) = 1 and u(g,n) = 0 whenever g < 0, n < 0 or 2g > n.  Connected
-two-face counts follow by subtracting the ordered two-factor convolution of
-one-face counts from u(g+1,n+1).  The disconnected-pieces count d combines
-two- and three-factor convolutions built from u* (u with the trivial map
-excluded), and the three-face counting identity is checked against both the
-recurrence table and the census.
+with u(0,0) = 1 and u(g,n) = 0 whenever g < 0, n < 0 or 2g > n.  Every
+derived count is one ordered convolution, :meth:`HZTable._conv`: connected
+two-face counts are u(g+1,n+1) less the convolution of u with itself, and
+the disconnected-pieces count d adds three single splits (u* against the
+two-face counts, u* being u without the trivial map) and the triple split
+(u* against the convolution of u* with itself).  The terms of the
+three-face counting identity are listed once, by
+:meth:`HZTable.theorem_terms`; :func:`verify_theorem` checks the identity
+and each partition leaf against the recurrence table and the census.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from plantedmaps import census, partition
 from plantedmaps.core import BoundExceeded, MapError
 
 DEFAULT_N_MAX = 32
@@ -70,6 +74,11 @@ class HZTable:
             return 0
         return self.u(g, n)
 
+    def _conv(self, f, h, g: int, n: int) -> int:
+        """Ordered pairs of pieces, counted by ``f`` and ``h``, whose genera
+        sum to ``g`` and whose edge counts sum to ``n``."""
+        return sum(f(a, m) * h(g - a, n - m) for a in range(g + 1) for m in range(n + 1))
+
     def bicellular(self, g: int, n: int) -> int:
         """Connected two-face count: u(g+1,n+1) minus the ordered two-factor
         convolution of one-face counts."""
@@ -78,12 +87,7 @@ class HZTable:
             return self._b[key]
         if g < 0 or n < 0:
             return 0
-        conv = sum(
-            self.u(g1, i) * self.u(g + 1 - g1, n - i)
-            for g1 in range(g + 2)
-            for i in range(n + 1)
-        )
-        b = self.u(g + 1, n + 1) - conv
+        b = self.u(g + 1, n + 1) - self._conv(self.u, self.u, g + 1, n)
         if b < 0:
             raise NegativeCount(f"negative two-face count at (g,n)=({g},{n})")
         self._b[key] = b
@@ -92,42 +96,43 @@ class HZTable:
     def single_split(self, g: int, n: int) -> int:
         """Ordered (one-face piece, two-face piece) pairs with genus sum
         g+1 and edge sum n, the one-face piece non-trivial."""
-        return sum(
-            self.u_star(g3, m) * self.bicellular(g + 1 - g3, n - m)
-            for g3 in range(g + 2)
-            for m in range(n + 1)
-        )
+        return self._conv(self.u_star, self.bicellular, g + 1, n)
 
     def triple_split(self, g: int, n: int) -> int:
         """Ordered triples of non-trivial one-face pieces with genus sum
         g+2 and edge sum n."""
-        total = 0
-        for g1 in range(g + 3):
-            for g2 in range(g + 3 - g1):
-                for m1 in range(n + 1):
-                    for m2 in range(n + 1 - m1):
-                        total += (
-                            self.u_star(g1, m1)
-                            * self.u_star(g2, m2)
-                            * self.u_star(g + 2 - g1 - g2, n - m1 - m2)
-                        )
-        return total
+        u_star = self.u_star
+        return self._conv(u_star, lambda a, m: self._conv(u_star, u_star, a, m), g + 2, n)
 
     def d_value(self, g: int, n: int) -> int:
         """Disconnected-pieces count: three single splits plus the triple
         split."""
         return 3 * self.single_split(g, n) + self.triple_split(g, n)
 
+    def theorem_terms(self, g: int, n: int, t: int) -> tuple[int, int, int, int, int]:
+        """The terms of the three-face counting identity, given the
+        three-face count ``t``, in the order of ``_TERM_NAMES``; the
+        right-hand side is their sum with the fourth subtracted."""
+        return (
+            t,
+            self.d_value(g, n),
+            4 * self.u(g + 2, n + 1),
+            3 * self.u(g + 2, n),
+            (n + 1) * (2 * n + 1) * self.u(g + 1, n),
+        )
+
     def theorem_rhs(self, g: int, n: int, t: int) -> int:
         """Right-hand side of the three-face counting identity, given the
         three-face count ``t``."""
-        return (
-            t
-            + self.d_value(g, n)
-            + 4 * self.u(g + 2, n + 1)
-            - 3 * self.u(g + 2, n)
-            + (n + 1) * (2 * n + 1) * self.u(g + 1, n)
-        )
+        return _rhs(self.theorem_terms(g, n, t))
+
+
+_TERM_NAMES = ("tricellular_census", "d", "4u(g+2,n+1)", "3u(g+2,n)", "(n+1)(2n+1)u(g+1,n)")
+
+
+def _rhs(terms: tuple[int, ...]) -> int:
+    t, d, u1, u0, b = terms
+    return t + d + u1 - u0 + b
 
 
 @lru_cache(maxsize=4)
@@ -165,8 +170,7 @@ def double_factorial_odd(n: int) -> int:
 
 # --- relation checkers -----------------------------------------------------
 #
-# These compare the recurrence table against the census and therefore import
-# the census and partition modules lazily.
+# These compare the recurrence table against the census.
 
 
 def _row(relation: str, g: int | None, n: int, census: int, reference: int) -> dict:
@@ -181,39 +185,38 @@ def _row(relation: str, g: int | None, n: int, census: int, reference: int) -> d
     }
 
 
-def verify_hz(max_n: int) -> list[dict]:
-    """Per-(g,n) comparison of census one-face counts with the recurrence."""
-    from plantedmaps import census
+def _cell(census: int, expected: int) -> dict:
+    """One leaf or pendant entry of a theorem report."""
+    return {"census": str(census), "expected": str(expected), "ok": census == expected}
 
-    census.check_bound("unicellular", max_n)
+
+def _verify_counts(relation: str, kind: str, reference, max_n: int) -> list[dict]:
+    """Per-(g,n) rows of the census ``kind`` counts against ``reference``,
+    and on one face an ``hz-total`` row per n against (2n-1)!!."""
+    census.check_bound(kind, max_n)
     reports = []
     for n in range(max_n + 1):
-        tbl = census.count("unicellular", n)
-        reports += [_row("hz", g, n, tbl.get(g, n), hz(g, n)) for g in range(n // 2 + 1)]
-        reports.append(_row("hz-total", None, n, tbl.total(n), double_factorial_odd(n)))
+        tbl = census.count(kind, n)
+        reports += [_row(relation, g, n, tbl.get(g, n), reference(g, n)) for g in range(n // 2 + 1)]
+        if kind == "unicellular":
+            reports.append(_row("hz-total", None, n, tbl.total(n), double_factorial_odd(n)))
     return reports
+
+
+def verify_hz(max_n: int) -> list[dict]:
+    """Per-(g,n) comparison of census one-face counts with the recurrence."""
+    return _verify_counts("hz", "unicellular", hz, max_n)
 
 
 def verify_bicellular(max_n: int) -> list[dict]:
     """Per-(g,n) comparison of census two-face counts with the subtraction
     formula (this machine-checks the two-face recursion identity)."""
-    from plantedmaps import census
-
-    census.check_bound("bicellular", max_n)
-    reports = []
-    for n in range(max_n + 1):
-        tbl = census.count("bicellular", n)
-        reports += [
-            _row("bicellular", g, n, tbl.get(g, n), bicellular(g, n)) for g in range(n // 2 + 1)
-        ]
-    return reports
+    return _verify_counts("bicellular", "bicellular", bicellular, max_n)
 
 
 def check_theorem_bound(n: int) -> None:
     """Reject an edge index beyond the census the theorem check reads,
     before any work is done."""
-    from plantedmaps import census
-
     bounds = census.N_MAX
     if n > bounds["tricellular"] or n + 2 > bounds["unicellular"]:
         raise BoundExceeded(f"theorem check bounded at n <= {bounds['tricellular']}")
@@ -227,8 +230,6 @@ def verify_theorem(g: int, n: int) -> dict:
     cross-checks every partition class cardinality against its bijection
     target.
     """
-    from plantedmaps import census, partition
-
     if n < 0 or g < 0:
         raise BoundExceeded("g and n must be non-negative")
     check_theorem_bound(n)
@@ -236,51 +237,29 @@ def verify_theorem(g: int, n: int) -> dict:
     t = table()
     lhs_ref = t.u(g + 2, n + 2)
     hist = partition.histogram(g, n)
-    lhs_census = hist.total
-    t_census = census.count("tricellular", n).get(g, n)
-    d = t.d_value(g, n)
-    term_u1 = 4 * t.u(g + 2, n + 1)
-    term_u0 = 3 * t.u(g + 2, n)
-    term_b = (n + 1) * (2 * n + 1) * t.u(g + 1, n)
-    rhs = t_census + d + term_u1 - term_u0 + term_b
-
+    terms = t.theorem_terms(g, n, census.count("tricellular", n).get(g, n))
+    rhs = _rhs(terms)
+    u1, u0 = t.u(g + 2, n + 1), t.u(g + 2, n)
+    single = t.single_split(g, n)
     leaf_expected = {
-        "U1": t.u(g + 2, n + 1),
-        "U2": t.u(g + 2, n + 1),
-        "G23": t.u(g + 2, n + 1) - t.u(g + 2, n),
-        "G24": t.u(g + 2, n + 1) - 2 * t.u(g + 2, n),
-        "F51": t.single_split(g, n),
-        "F52": t.single_split(g, n),
-        "F53": t.single_split(g, n),
+        "U1": u1,
+        "U2": u1,
+        "G23": u1 - u0,
+        "G24": u1 - 2 * u0,
+        "F51": single,
+        "F52": single,
+        "F53": single,
         "F54": t.triple_split(g, n),
-        "II": t_census,
-        "B": (n + 1) * (2 * n + 1) * t.u(g + 1, n),
+        "II": terms[0],
+        "B": terms[4],
     }
-    leaves = {
-        leaf: {
-            "census": str(hist.classes[leaf]),
-            "expected": str(expected),
-            "ok": hist.classes[leaf] == expected,
-        }
-        for leaf, expected in leaf_expected.items()
-    }
-    pendant_expected = t.u(g + 2, n)
-    pendants = {
-        dom: {
-            "census": str(hist.pendants[dom]),
-            "expected": str(pendant_expected),
-            "ok": hist.pendants[dom] == pendant_expected,
-        }
-        for dom in partition.PENDANT_DOMAINS
-    }
+    leaves = {leaf: _cell(hist.classes[leaf], e) for leaf, e in leaf_expected.items()}
+    pendants = {dom: _cell(hist.pendants[dom], u0) for dom in partition.PENDANT_DOMAINS}
     ok = (
         lhs_ref == rhs
-        and lhs_census == lhs_ref
+        and hist.total == lhs_ref
         and all(v["ok"] for v in leaves.values())
         and all(v["ok"] for v in pendants.values())
-    )
-    equation = (
-        f"{lhs_ref} = {t_census} + {d} + {term_u1} - {term_u0} + {term_b}"
     )
     return {
         "relation": "theorem",
@@ -288,16 +267,10 @@ def verify_theorem(g: int, n: int) -> dict:
         "n": n,
         "ok": ok,
         "lhs_reference": str(lhs_ref),
-        "lhs_census": str(lhs_census),
+        "lhs_census": str(hist.total),
         "rhs": str(rhs),
-        "equation": equation,
-        "terms": {
-            "tricellular_census": str(t_census),
-            "d": str(d),
-            "4u(g+2,n+1)": str(term_u1),
-            "3u(g+2,n)": str(term_u0),
-            "(n+1)(2n+1)u(g+1,n)": str(term_b),
-        },
+        "equation": "{} = {} + {} + {} - {} + {}".format(lhs_ref, *terms),
+        "terms": {name: str(x) for name, x in zip(_TERM_NAMES, terms)},
         "leaves": leaves,
         "pendant_counts": pendants,
     }

@@ -20,6 +20,11 @@ branch lengths and branch closure under ``alpha`` drive one decision tree,
 Exactly two closed branches cannot occur: the non-plant ids form a closed
 set, so two closed branches force the third closed.
 
+The branches are the id ranges ``1..h2``, ``h2+1..h3`` and ``h3+1..2n``
+that :func:`_classify` reads and that the cut in
+:mod:`plantedmaps.bijections` turns into faces; the pair each class
+bijection contracts is stated there too, by ``eta_edge``.
+
 The histogram builds no maps: it runs the census's one-face transfer-matrix
 pass with a tag that follows the root cycle (:func:`_census_class_counts`),
 and both paths decide degree >= 4 through :func:`_branch_class`.
@@ -60,16 +65,6 @@ class V1Profile:
     degree: int
     second: int
     third: int | None
-
-
-@dataclass(frozen=True)
-class Branches:
-    """The up-to-three face segments delimited by the partners of the root
-    vertex's second and third half-edges."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    third: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -151,32 +146,6 @@ def _root_start(u: CellularMap) -> list[int]:
     return _root_cycle(u.alpha, 4)
 
 
-def branches(u: CellularMap) -> Branches:
-    """Branch decomposition of the face interior (scenario A only).
-
-    For degree 2 the single wrap branch is the whole interior; for degree 3
-    the third branch is empty; for degree >= 4 all three are nonempty.
-    """
-    cycle = _root_start(u)
-    last = 2 * u.np_edge_count
-    if len(cycle) == 2:
-        return Branches(tuple(range(1, last + 1)), (), ())
-    h2, h3 = cycle[1], cycle[2]
-    if h3 < h2:
-        raise WrongScenario("branches are defined on scenario A maps only")
-    return Branches(
-        tuple(range(1, h2 + 1)),
-        tuple(range(h2 + 1, h3 + 1)),
-        tuple(range(h3 + 1, last + 1)),
-    )
-
-
-def closed_branches(u: CellularMap) -> tuple[bool, bool, bool]:
-    """Closure of each branch under ``alpha`` (empty branches are closed)."""
-    br = branches(u)
-    return tuple(not s or _closed(u.alpha, s[0], s[-1]) for s in (br.first, br.second, br.third))
-
-
 def _branch_class(c1: bool, c2: bool, c3: bool, len1_2: bool, len2_2: bool) -> PartitionClass:
     """Leaf of a scenario-A map with root degree >= 4, from the closure of
     its three branches and whether the first and second are pendant pairs."""
@@ -223,36 +192,6 @@ def classify(u: CellularMap) -> PartitionClass:
     """Leaf classification of a nontrivial one-face map."""
     _require_nontrivial_unicellular(u)
     return _classify(u.alpha)
-
-
-def contraction_edges(u: CellularMap) -> tuple[tuple[int, int], ...]:
-    """Edges the class bijections contract on this map, if any.
-
-    These are the instances of the distinct-vertex property the surgeries
-    rely on: the wrap pair on U1, the tail pair on U2, and the pendant pairs
-    recorded by the flags on U2 and G23 or forced on G24.
-    """
-    doms = set(domains(classify(u)))
-    last = 2 * u.np_edge_count
-    edges: list[tuple[int, int]] = []
-    if "U1" in doms:
-        edges.append((1, last))
-    if doms & {"U2", "G23", "G24"}:
-        h2 = _root_start(u)[1]
-        if "U2" in doms:
-            edges.append((h2 + 1, last))
-        if doms & {"U2_first", "G23"}:
-            edges.append((1, 2))
-        if doms & {"U2_second", "G23_second", "G24"}:
-            edges.append((h2 + 1, h2 + 2))
-    return tuple(edges)
-
-
-def contraction_vertices_distinct(u: CellularMap) -> bool:
-    """Whether every contraction edge of the map joins two distinct
-    vertices (vacuously true for classes without contractions)."""
-    vo = u.vertex_of
-    return all(vo[a] != vo[b] for a, b in contraction_edges(u))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ Each test prints one PASS/FAIL line; run with ``pytest tests/test_acceptance.py 
 import contextlib
 import time
 
-from conftest import double_factorial_odd
+from conftest import closed_branches, double_factorial_odd, eta_edges
 from plantedmaps import oracle, partition, roundtrips
 from plantedmaps.census import (
     bicellular_stream,
@@ -142,8 +142,9 @@ def test_criterion_6_structural_properties():
                         assert len(m.vertex_cycles[m.vertex_of[h]]) == 1
                 if n >= 1:
                     if partition.scenario(m) == "A":
-                        assert sum(partition.closed_branches(m)) in (0, 1, 3)
-                    assert partition.contraction_vertices_distinct(m)
+                        assert sum(closed_branches(m)) in (0, 1, 3)
+                    for a, b in eta_edges(m):
+                        assert m.alpha[a] == b and m.vertex_of[a] != m.vertex_of[b]
         for n in range(4):
             for m in list(bicellular_stream(n)) + list(tricellular_stream(n)):
                 for p in m.plants:

@@ -313,7 +313,7 @@ def _euler_genus(m):
         while not seen[h]:
             seen[h] = True
             h = m.alpha[nxt[h]]
-    defect = 2 - v + m.n_edges - m.k
+    defect = 2 - v + m.total_half_edges // 2 - m.k
     assert defect % 2 == 0
     return defect // 2
 

@@ -340,7 +340,7 @@ def _check_flat_genus(m):
     flat_first = CellularMap(m.faces, m.alpha)
     cycles_first = CellularMap(m.faces, m.alpha)
     cycles = cycles_first.vertex_cycles
-    defect = 2 - len(cycles) + m.n_edges - m.k
+    defect = 2 - len(cycles) + m.total_half_edges // 2 - m.k
     assert defect % 2 == 0
     assert flat_first.aggregate_genus() == defect // 2 == cycles_first.aggregate_genus()
     assert flat_first.vertex_cycles == cycles

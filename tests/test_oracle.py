@@ -95,6 +95,17 @@ def test_verify_theorem_report_contents():
     assert rep["leaves"]["II"]["ok"]
 
 
+def test_theorem_leaves_and_terms_give_the_right_hand_side():
+    # The leaves are exhaustive, and the report and theorem_rhs read one term list.
+    reports = oracle.verify_theorem_range(8)
+    assert len(reports) == 34
+    for rep in reports:
+        rhs = int(rep["rhs"])
+        assert sum(int(cell["expected"]) for cell in rep["leaves"].values()) == rhs
+        t = int(rep["terms"]["tricellular_census"])
+        assert oracle.theorem_rhs(rep["g"], rep["n"], t) == rhs
+
+
 def test_verify_theorem_bound():
     with pytest.raises(BoundExceeded):
         oracle.verify_theorem(0, 9)

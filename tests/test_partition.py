@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import uni
+from conftest import closed_branches, eta_edges, uni
 from plantedmaps import oracle
+from plantedmaps.bijections import cut
 from plantedmaps.census import N_MAX, count, unicellular_stream
 from plantedmaps.partition import (
     LEAVES,
@@ -9,12 +10,8 @@ from plantedmaps.partition import (
     BoundExceeded,
     PartitionClass,
     TrivialMap,
-    WrongScenario,
     _census_class_counts,
-    branches,
     classify,
-    closed_branches,
-    contraction_vertices_distinct,
     domains,
     histogram,
     scenario,
@@ -56,18 +53,11 @@ def test_scenario_examples():
     assert scenario(uni(1, (1, 2))) == "A"
 
 
-def test_branches_examples():
-    br = branches(II_MAP)
-    assert (br.first, br.second, br.third) == ((1, 2, 3, 4), (5, 6, 7), (8,))
-    br = branches(uni(1, (1, 2)))
-    assert (br.first, br.second, br.third) == ((1, 2), (), ())
-    br = branches(F51_MAP)
-    assert (br.first, br.second, br.third) == ((1, 2, 3, 4, 5, 6), (7, 8, 9), (10,))
-
-
-def test_branches_rejects_scenario_b():
-    with pytest.raises(WrongScenario):
-        branches(B_MAP)
+def test_cut_faces_are_the_branches():
+    # II_MAP's branches are 1..4, 5..7 and 8; each face keeps its branch
+    # less the ids that become the root and plant.
+    assert cut(II_MAP).map.faces.interior_sizes == (2, 1, 1)
+    assert cut(F51_MAP).map.faces.interior_sizes == (4, 1, 1)
 
 
 def test_classify_examples():
@@ -110,10 +100,11 @@ def test_closed_branch_count_is_never_two():
                 assert sum(closed_branches(m)) in (0, 1, 3)
 
 
-def test_contraction_edges_join_distinct_vertices():
+def test_contracted_pairs_join_distinct_vertices():
     for n in range(1, 6):
         for m in unicellular_stream(n):
-            assert contraction_vertices_distinct(m)
+            for a, b in eta_edges(m):
+                assert m.alpha[a] == b and m.vertex_of[a] != m.vertex_of[b]
 
 
 def test_histogram_0_2():
