@@ -10,21 +10,19 @@ free.
 face layout at once (a transfer-matrix pass) and merges the pairings that
 agree on everything the rest of the scan can see.  Vertices are the cycles
 of ``sigma(h) = alpha(h + 1)``; a pairing read up to some position leaves
-open sigma-paths between the ends of its open chords.  A state is only its
-path ends: for each path end (each open chord's A end, then the frontier at
-the current position), the start that path began at: 0 for the current
-face's root in-port, ``j + 1`` for open chord ``j``'s B end.  So the pass
-counts every pairing, connected or not, and :func:`_connected_census`
-subtracts the disconnected ones: each splits into the component of the
-first face and the rest, counted by the passes over fewer faces and edges.
-Each state carries its count of pairings per number of sigma-cycles closed, packed
-into one int with a fixed-width slot per cycle number
-(:func:`_slot_width`), so that merging two states is one addition.
-Counting is exact.  The partition histogram runs the one-face pass with a
-root-cycle tag added to each state
-(:func:`plantedmaps.partition._census_class_counts`).  Both passes take the
-ends after each close move from one cached table per ``ends`` value,
-:func:`_closes`.
+open sigma-paths between the ends of its open chords.  Their path ends form
+a permutation of the frontier and the open chords, and since the rest of
+the scan treats open chords alike, a state is only that permutation's cycle
+type: the length of the frontier's cycle and the partition of the others
+(:func:`_class_moves`).  States carry no face components, so the pass
+counts every pairing, connected or not, and :func:`_connected_census` subtracts the disconnected ones: each
+splits into the component of the first face and the rest, counted by the
+passes over fewer faces and edges.  Each state carries its count of
+pairings per number of sigma-cycles closed, packed into one int with a
+fixed-width slot per cycle number (:func:`_slot_width`), so that merging
+two states is one addition.  Counting is exact.  The partition histogram
+runs the one-face pass on concrete path ends with a root-cycle tag added
+to each state (:func:`plantedmaps.partition._census_class_counts`).
 """
 
 from __future__ import annotations
@@ -170,15 +168,19 @@ def _slot_width(k: int, n: int) -> int:
     :func:`plantedmaps.partition._census_class_counts`, pack a state's
     counts into one int: the count with ``i`` cycles closed sits at bit
     offset ``i * width``, a move that closes ``closed`` cycles adds
-    ``counts << closed * width``, and :func:`_unpack` reads the slots back.
+    ``counts << closed * width`` (times the move's multiplicity in
+    :func:`_cycle_census`), and :func:`_unpack` reads the slots back.
 
     A state's slot ``i`` counts distinct kept prefixes (a face layout begun
     and a partial pairing).  Every kept prefix extends to a complete
     pairing of a complete layout, and distinct prefixes to distinct ones,
     so no slot, and no sum of slots merged into one state, exceeds the
     ``comb(2n + k - 1, k - 1) * (2n - 1)!!`` (layout, pairing) pairs.  A
-    slot as wide as that number's bit length holds any such count, so slots
-    never carry into each other.
+    class state of :func:`_cycle_census` sums the slots of the path-end
+    states in it, and a move of multiplicity ``L`` sends the prefixes of
+    ``L`` distinct path-end moves there, so its slots still count distinct
+    kept prefixes.  A slot as wide as that number's bit length holds any
+    such count, so slots never carry into each other.
     """
     pairs = comb(2 * n + k - 1, k - 1) * prod(range(1, 2 * n, 2))
     return pairs.bit_length()
@@ -194,29 +196,50 @@ def _unpack(packed: int, width: int) -> list[int]:
     return out
 
 
-def _join(ends: list[int], start: int) -> int:
-    """Join the frontier's path (the last end) to the path that began at
-    ``start``; return 1 when that closes a cycle, else 0."""
-    front = ends[-1]
-    if front == start:
-        return 1
-    ends[ends.index(start)] = front
-    return 0
+#: A scan class of :func:`_cycle_census`: ``(l0, parts)``.
+_Class = tuple[int, tuple[int, ...]]
 
 
-@lru_cache(maxsize=8192)
-def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
-    """For each open chord ``j`` of a scan state with path ends ``ends``, the
-    ends after the current position closes it (later chords renumbered) and
-    1 if that closes a sigma-cycle.  Both passes read their moves here; the
-    bound holds every ``ends`` of ``verify --relation theorem --max-n 8``."""
-    moves = []
-    for j in range(len(ends) - 1):
-        path = list(ends)
-        closed = _join(path, j + 1)
-        path[-1] = path.pop(j)
-        moves.append((bytes([x - 1 if x > j + 1 else x for x in path]), closed))
-    return tuple(moves)
+def _add_part(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
+    return tuple(sorted(parts + (length,), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _class_moves(state: _Class):
+    """The moves of the scan class ``state = (l0, parts)``: the face end,
+    the chord opening, and the close moves as ``(target, multiplicity,
+    closed)``, ``closed`` being 1 when the move closes a sigma-cycle.
+
+    The path ends of a scan state with ``m`` open chords are a permutation
+    of the frontier and the chords: the frontier goes to the start of its
+    path, chord ``j`` to the start of the path ending at its A end, the
+    starts being the root in-port (the frontier itself) and each open
+    chord's B end.  The moves act on its cycles only, and open chords are
+    interchangeable for the rest of the scan, so a state's class is
+    ``l0``, the length of the frontier's cycle, and ``parts``, the other
+    cycle lengths in descending order (``m = l0 - 1 + sum(parts)``).  The
+    moves are cut-and-join moves (Goulden and Jackson, Proc. AMS 125 (1997)
+    51-60):
+
+    - a face end cuts the frontier out of its cycle, closing it if
+      ``l0 = 1``;
+    - an opened chord joins the frontier's cycle next to the frontier;
+    - closing the chord ``d`` steps along the frontier's cycle closes that
+      cycle if ``d = 1`` and else cuts ``d - 1`` chords off it;
+    - closing a chord on a cycle of length ``L`` joins that cycle to the
+      frontier's, in ``L`` ways per such cycle.
+    """
+    l0, parts = state
+    end = ((1, parts), 1) if l0 == 1 else ((1, _add_part(parts, l0 - 1)), 0)
+    closes = []
+    if l0 > 1:
+        closes.append(((l0 - 1, parts), 1, 1))
+    closes += [((l0 - d, _add_part(parts, d - 1)), 1, 0) for d in range(2, l0)]
+    for length in dict.fromkeys(parts):
+        i = parts.index(length)
+        rest = parts[:i] + parts[i + 1 :]
+        closes.append(((l0 + length - 1, rest), length * parts.count(length), 0))
+    return end, (l0 + 1, parts), tuple(closes)
 
 
 @lru_cache(maxsize=None)
@@ -225,47 +248,44 @@ def _cycle_census(k: int, n: int) -> tuple[int, ...]:
     not, summed over every face layout, counted by the number of
     sigma-cycles closed before the last face ends.
 
-    A state with ``m`` open chords is its ``m + 1`` path-end bytes, the
-    start of each path end; every value is at most ``n``.  ``layers[b]``
-    maps each state with ``b + 1`` faces begun to its counts.  Before each
-    position any face but the last may end, which folds every layout of
-    ``compositions(2n, k)`` into the pass.  The states carry no face
-    components: :func:`_connected_census` removes the disconnected pairings
-    afterwards.
+    A state is a scan class of :func:`_class_moves`, ``(l0, parts)``; the
+    pass starts and ends at ``(1, ())``.  ``layers[b]`` maps each class
+    with ``b + 1`` faces begun to its counts, summed over the path-end
+    states of the class.  Before each position any face but the last may
+    end, which folds every layout of ``compositions(2n, k)`` into the pass.
+    The states carry no face components: :func:`_connected_census` removes
+    the disconnected pairings afterwards.
 
     A state's counts are one int, packed as :func:`_slot_width` describes,
-    so a move that closes a cycle shifts them up one slot and a merge is one
-    addition.
+    so a move of multiplicity ``mult`` that closes ``closed`` cycles adds
+    ``counts * mult << closed * width`` and a merge is one addition.
     """
     span = 2 * n
     width = _slot_width(k, n)
-    layers: list[dict[bytes, int]] = [{} for _ in range(k)]
-    layers[0][b"\0"] = 1
+    layers: list[dict[_Class, int]] = [{} for _ in range(k)]
+    layers[0][1, ()] = 1
     for pos in range(span + 1):
         for b in range(k - 1):
             out = layers[b + 1]
             for state, counts in layers[b].items():
-                ends = list(state)
-                closed = _join(ends, 0)
-                ends[-1] = 0  # the next face's root in-port
-                key = bytes(ends)
+                key, closed = _class_moves(state)[0]
                 out[key] = out.get(key, 0) + (counts << closed * width)
         if pos == span:
             break
         room = span - pos - 1
-        step: list[dict[bytes, int]] = [{} for _ in range(k)]
+        step: list[dict[_Class, int]] = [{} for _ in range(k)]
         for layer, out in zip(layers, step):
-            for ends, counts in layer.items():
-                m = len(ends) - 1
-                if m < room:  # room left to close the new chord too
-                    key = ends + bytes((m + 1,))
-                    out[key] = out.get(key, 0) + counts
-                for path, closed in _closes(ends):
-                    out[path] = out.get(path, 0) + (counts << closed * width)
+            for state, counts in layer.items():
+                _, opened, closes = _class_moves(state)
+                l0, parts = state
+                if l0 - 1 + sum(parts) < room:  # room left to close the new chord too
+                    out[opened] = out.get(opened, 0) + counts
+                for key, mult, closed in closes:
+                    out[key] = out.get(key, 0) + (counts * mult << closed * width)
         layers = step
-    # Every chord is closed by now, so one state is left: the last face's
-    # frontier path, which its end closes.
-    return tuple(_unpack(layers[k - 1].get(b"\0", 0), width))
+    # Every chord is closed by now, so one class is left: the last face's
+    # frontier alone, which its end closes.
+    return tuple(_unpack(layers[k - 1].get((1, ()), 0), width))
 
 
 @lru_cache(maxsize=None)

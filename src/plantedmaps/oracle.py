@@ -17,7 +17,7 @@ and each partition leaf against the recurrence table and the census.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from plantedmaps import census, partition
 from plantedmaps.core import BoundExceeded, MapError
@@ -33,12 +33,27 @@ class NegativeCount(MapError):
     pass
 
 
+def _memoised(method):
+    """Cache ``method(self, g, n)`` in the table's ``_memo``, per method."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, g: int, n: int) -> int:
+        key = (name, g, n)
+        if key not in self._memo:
+            self._memo[key] = method(self, g, n)
+        return self._memo[key]
+
+    return cached
+
+
 class HZTable:
     """Recurrence table of one-face counts with derived convolutions.
 
     Built once up to ``n_max``; all lookups outside the triangle
     ``0 <= 2g <= n`` return 0, lookups beyond ``n_max`` raise
-    :class:`BoundExceeded`.
+    :class:`BoundExceeded`.  The two-face counts and the splits are
+    memoised per table as they are asked for.
     """
 
     def __init__(self, n_max: int = DEFAULT_N_MAX):
@@ -55,7 +70,7 @@ class HZTable:
                 if num % (n + 1):
                     raise NonIntegralRecurrence(f"(n+1) does not divide at (g,n)=({g},{n})")
                 self._u[(g, n)] = num // (n + 1)
-        self._b: dict[tuple[int, int], int] = {}
+        self._memo: dict[tuple[str, int, int], int] = {}
 
     def _get(self, g: int, n: int) -> int:
         if g < 0 or n < 0 or 2 * g > n:
@@ -79,30 +94,34 @@ class HZTable:
         sum to ``g`` and whose edge counts sum to ``n``."""
         return sum(f(a, m) * h(g - a, n - m) for a in range(g + 1) for m in range(n + 1))
 
+    @_memoised
     def bicellular(self, g: int, n: int) -> int:
         """Connected two-face count: u(g+1,n+1) minus the ordered two-factor
         convolution of one-face counts."""
-        key = (g, n)
-        if key in self._b:
-            return self._b[key]
         if g < 0 or n < 0:
             return 0
         b = self.u(g + 1, n + 1) - self._conv(self.u, self.u, g + 1, n)
         if b < 0:
             raise NegativeCount(f"negative two-face count at (g,n)=({g},{n})")
-        self._b[key] = b
         return b
 
+    @_memoised
     def single_split(self, g: int, n: int) -> int:
         """Ordered (one-face piece, two-face piece) pairs with genus sum
         g+1 and edge sum n, the one-face piece non-trivial."""
         return self._conv(self.u_star, self.bicellular, g + 1, n)
 
+    @_memoised
+    def _double_split(self, g: int, n: int) -> int:
+        """Ordered pairs of non-trivial one-face pieces with genus sum g and
+        edge sum n."""
+        return self._conv(self.u_star, self.u_star, g, n)
+
+    @_memoised
     def triple_split(self, g: int, n: int) -> int:
         """Ordered triples of non-trivial one-face pieces with genus sum
         g+2 and edge sum n."""
-        u_star = self.u_star
-        return self._conv(u_star, lambda a, m: self._conv(u_star, u_star, a, m), g + 2, n)
+        return self._conv(self.u_star, self._double_split, g + 2, n)
 
     def d_value(self, g: int, n: int) -> int:
         """Disconnected-pieces count: three single splits plus the triple

@@ -26,8 +26,9 @@ that :func:`_classify` reads and that the cut in
 bijection contracts is stated there too, by ``eta_edge``.
 
 The histogram builds no maps: it runs the census's one-face transfer-matrix
-pass with a tag that follows the root cycle (:func:`_census_class_counts`),
-and both paths decide degree >= 4 through :func:`_branch_class`.
+scan on concrete path ends, with a tag that follows the root cycle
+(:func:`_census_class_counts`), and both paths decide degree >= 4 through
+:func:`_branch_class`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import N_MAX, _closes, _slot_width, _unpack
+from plantedmaps.census import N_MAX, _slot_width, _unpack
 from plantedmaps.core import BoundExceeded, CellularMap, MapError
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -241,16 +242,45 @@ def _next_tag(tag, j: int, m: int, p: int, last: int):
     return _branch_class(c1, not crossed and m - 1 == t, m == 1, len1_2, fresh)
 
 
+def _join(ends: list[int], start: int) -> int:
+    """Join the frontier's path (the last end) to the path that began at
+    ``start``; return 1 when that closes a cycle, else 0."""
+    front = ends[-1]
+    if front == start:
+        return 1
+    ends[ends.index(start)] = front
+    return 0
+
+
+@lru_cache(maxsize=8192)
+def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
+    """For each open chord ``j`` of a scan state with path ends ``ends``, the
+    ends after the current position closes it (later chords renumbered) and
+    1 if that closes a sigma-cycle.  The leaf pass reads its close moves
+    here, since its tag names chords; the bound holds every ``ends`` of
+    ``verify --relation theorem --max-n 8``."""
+    moves = []
+    for j in range(len(ends) - 1):
+        path = list(ends)
+        closed = _join(path, j + 1)
+        path[-1] = path.pop(j)
+        moves.append((bytes([x - 1 if x > j + 1 else x for x in path]), closed))
+    return tuple(moves)
+
+
 @lru_cache(maxsize=16)
 def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     """Every one-face map with ``total_np`` non-plant edges, counted per
     ``(genus, domain)`` for the leaves and :data:`PENDANT_DOMAINS`.
 
-    One transfer-matrix pass over the interior positions, as in
-    :func:`~plantedmaps.census._cycle_census` on one face: a state is the
-    start of each open sigma-path end, here with a tag (:func:`_next_tag`)
-    that follows the root cycle until the leaf is known, at ``h3`` at the
-    latest.  Each state carries its counts per number of sigma-cycles closed
+    One transfer-matrix pass over the interior positions, the scan of
+    :func:`~plantedmaps.census._cycle_census` on one face, but on concrete
+    states: the start of each open sigma-path end (each open chord's A end,
+    then the frontier), 0 for the root in-port and ``j + 1`` for open chord
+    ``j``'s B end, with a tag (:func:`_next_tag`) that follows the root
+    cycle until the leaf is known, at ``h3`` at the latest.  The tag names
+    chords (the root chord, chord ``t``), so the states are not merged by
+    cycle type.  Each state carries its counts per number of sigma-cycles closed
     packed into one int in the layout of
     :func:`~plantedmaps.census._slot_width`, unpacked once at the end.
     """

@@ -1,14 +1,21 @@
+from collections import Counter
 from functools import partial
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from conftest import catalan, double_factorial_odd, mk, uni
 from plantedmaps import oracle
+from plantedmaps.partition import _closes, _join
 from plantedmaps.census import (
     N_MAX,
     BoundExceeded,
+    _class_moves,
+    _connected_census,
     _cycle_census,
+    _slot_width,
+    _unpack,
     bicellular_stream,
     count,
     count_range,
@@ -147,15 +154,123 @@ def test_cycle_census_counts_every_layout_and_pairing(k, kind):
         assert sum(_cycle_census(k, n)) == pairs, n
 
 
-@pytest.mark.parametrize("k, stream, n_max", [(2, bicellular_stream, 4), (3, tricellular_stream, 3)])
+@pytest.mark.parametrize(
+    "k, stream, n_max",
+    [
+        (1, unicellular_stream, 6),
+        (2, partial(bicellular_stream, connected_only=False), 4),
+        (3, partial(tricellular_stream, connected_only=False), 3),
+    ],
+    ids=["uni", "bi", "tri"],
+)
 def test_cycle_census_matches_the_tally_of_all_pairings(k, stream, n_max):
     for n in range(n_max + 1):
         tally = {}
-        for m in stream(n, connected_only=False):
+        for m in stream(n):
             closed = m.vertex_count - k - 1
             tally[closed] = tally.get(closed, 0) + 1
         expected = [tally.get(i, 0) for i in range(max(tally, default=-1) + 1)]
         assert list(_cycle_census(k, n)) == expected, n
+
+
+def _path_end_census(k, n):
+    """The census pass on concrete path-end states, one byte per path end
+    (each open chord's A end, then the frontier): the start it began at, 0
+    for the current face's root in-port, ``j + 1`` for open chord ``j``'s B
+    end.  The reference for the pass on their classes."""
+    span = 2 * n
+    width = _slot_width(k, n)
+    layers = [{} for _ in range(k)]
+    layers[0][b"\0"] = 1
+    for pos in range(span + 1):
+        for b in range(k - 1):
+            for state, counts in layers[b].items():
+                ends = list(state)
+                closed = _join(ends, 0)
+                ends[-1] = 0
+                key = bytes(ends)
+                layers[b + 1][key] = layers[b + 1].get(key, 0) + (counts << closed * width)
+        if pos == span:
+            break
+        step = [{} for _ in range(k)]
+        for layer, out in zip(layers, step):
+            for ends, counts in layer.items():
+                m = len(ends) - 1
+                if m < span - pos - 1:
+                    key = ends + bytes((m + 1,))
+                    out[key] = out.get(key, 0) + counts
+                for path, closed in _closes(ends):
+                    out[path] = out.get(path, 0) + (counts << closed * width)
+        layers = step
+    return tuple(_unpack(layers[k - 1].get(b"\0", 0), width))
+
+
+def _class_of(ends):
+    """The (l0, parts) class of a path-end state: the cycle type of the
+    permutation sending the frontier (label 0) to ``ends[-1]`` and chord
+    ``j`` (label ``j + 1``) to ``ends[j]``."""
+    f = [ends[-1], *ends[:-1]]
+    seen = [False] * len(f)
+    lengths = []
+    for start in range(len(f)):
+        length, h = 0, start
+        while not seen[h]:
+            seen[h] = True
+            length += 1
+            h = f[h]
+        if length:
+            lengths.append(length)
+    return lengths[0], tuple(sorted(lengths[1:], reverse=True))
+
+
+def test_class_moves_match_the_path_end_moves():
+    # Every path-end state with up to 6 open chords, so every class with
+    # m <= 6 and each of its representatives.
+    seen = set()
+    for m in range(7):
+        for perm in permutations(range(m + 1)):
+            ends = bytes(perm)
+            state = _class_of(ends)
+            seen.add(state)
+            end, opened, closes = _class_moves(state)
+            face_end = list(ends)
+            closed = _join(face_end, 0)
+            face_end[-1] = 0
+            assert (_class_of(face_end), closed) == end, ends
+            assert _class_of(ends + bytes((m + 1,))) == opened, ends
+            expected = Counter((_class_of(path), closed) for path, closed in _closes(ends))
+            got = Counter()
+            for key, mult, closed in closes:
+                got[key, closed] += mult
+            assert got == expected, ends
+    # (l0, a partition of m + 1 - l0) for m <= 6
+    assert len(seen) == 75
+
+
+@pytest.mark.parametrize("k, n_max", [(1, 7), (2, 5), (3, 4)], ids=["uni", "bi", "tri"])
+def test_cycle_census_matches_the_path_end_pass(k, n_max):
+    # A class-level move that merges or splits the wrong classes changes the lists.
+    for n in range(n_max + 1):
+        assert _cycle_census(k, n) == _path_end_census(k, n), n
+
+
+@pytest.mark.parametrize(
+    "k, n_max, by_genus",
+    [
+        (1, 20, oracle.hz),
+        (2, 14, oracle.bicellular),
+        # the counting identity solved for the three-face count
+        (3, 11, lambda g, n: oracle.hz(g + 2, n + 2) - oracle.theorem_rhs(g, n, 0)),
+    ],
+    ids=["uni", "bi", "tri"],
+)
+def test_connected_census_matches_the_oracle_past_the_bounds(k, n_max, by_genus):
+    # N_MAX bounds the CLI, not the pass.  Slot i holds the maps of genus g
+    # with i = n + 1 - k - 2g; compare the non-zero entries.
+    for n in range(n_max + 1):
+        got = {i: c for i, c in enumerate(_connected_census(k, n)) if c}
+        expected = {n + 1 - k - 2 * g: by_genus(g, n) for g in range(n // 2 + 1)}
+        assert got == {i: c for i, c in expected.items() if c}, n
 
 
 @pytest.mark.parametrize(

@@ -109,3 +109,19 @@ def test_theorem_leaves_and_terms_give_the_right_hand_side():
 def test_verify_theorem_bound():
     with pytest.raises(BoundExceeded):
         oracle.verify_theorem(0, 9)
+
+
+def test_a_second_theorem_report_runs_no_convolution(monkeypatch):
+    # The two-face counts, both splits and the inner pair convolution are
+    # memoised per table, so a report's splits are computed once.
+    oracle.verify_theorem(1, 6)
+    calls = []
+    conv = HZTable._conv
+
+    def counted(self, *args):
+        calls.append(args[2:])
+        return conv(self, *args)
+
+    monkeypatch.setattr(HZTable, "_conv", counted)
+    assert oracle.verify_theorem(1, 6)["ok"]
+    assert calls == []
