@@ -6,23 +6,24 @@ unmatched id is paired with each larger unmatched id in ascending order.
 The three map streams share it, so streams are reproducible and duplicate
 free.
 
-:func:`count` visits no matching.  It scans the half-edge positions of every
-face layout at once (a transfer-matrix pass) and merges the pairings that
-agree on everything the rest of the scan can see.  Vertices are the cycles
-of ``sigma(h) = alpha(h + 1)``; a pairing read up to some position leaves
-open sigma-paths between the ends of its open chords.  Their path ends form
-a permutation of the frontier and the open chords, and since the rest of
-the scan treats open chords alike, a state is only that permutation's cycle
-type: the length of the frontier's cycle and the partition of the others
-(:func:`_class_moves`).  States carry no face components, so the pass
-counts every pairing, connected or not, and :func:`_connected_census` subtracts the disconnected ones: each
-splits into the component of the first face and the rest, counted by the
-passes over fewer faces and edges.  Each state carries its count of
-pairings per number of sigma-cycles closed, packed into one int with a
-fixed-width slot per cycle number (:func:`_slot_width`), so that merging
-two states is one addition.  Counting is exact.  The partition histogram
-runs the one-face pass on concrete path ends with a root-cycle tag added
-to each state (:func:`plantedmaps.partition._census_class_counts`).
+:func:`count` visits no matching.  It scans the half-edge positions of
+every face layout at once (a transfer-matrix pass) and merges the pairings
+that agree on everything the rest of the scan can see.  Vertices are the
+cycles of ``sigma(h) = alpha(h + 1)``; a pairing read up to some position
+leaves open sigma-paths between the ends of its open chords.  Their path
+ends form a permutation of the frontier and the open chords, and since the
+rest of the scan treats open chords alike, a state is only that
+permutation's cycle type: the length of the frontier's cycle and the
+partition of the others (:func:`_class_moves`).  States carry no face
+components, so the pass counts every pairing, connected or not, and
+:func:`_connected_census` subtracts the disconnected ones: each splits into
+the component of the first face and the rest, counted by the passes over
+fewer faces and edges.  Each state carries its count of pairings per number
+of sigma-cycles closed, packed into one int with a fixed-width slot per
+cycle number (:func:`_slot_width`), so that merging two states is one
+addition.  Counting is exact.  The partition histogram runs the one-face
+pass on concrete path ends with a root-cycle tag added to each state
+(:func:`plantedmaps.partition._census_class_counts`).
 """
 
 from __future__ import annotations

@@ -280,8 +280,8 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     ``j``'s B end, with a tag (:func:`_next_tag`) that follows the root
     cycle until the leaf is known, at ``h3`` at the latest.  The tag names
     chords (the root chord, chord ``t``), so the states are not merged by
-    cycle type.  Each state carries its counts per number of sigma-cycles closed
-    packed into one int in the layout of
+    cycle type.  Each state carries its counts per number of sigma-cycles
+    closed packed into one int in the layout of
     :func:`~plantedmaps.census._slot_width`, unpacked once at the end.
     """
     last = 2 * total_np

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import catalan, double_factorial_odd, mk, uni
 from plantedmaps import oracle
-from plantedmaps.partition import _closes, _join
 from plantedmaps.census import (
     N_MAX,
     BoundExceeded,
@@ -22,6 +21,7 @@ from plantedmaps.census import (
     tricellular_stream,
     unicellular_stream,
 )
+from plantedmaps.partition import _closes, _join
 
 
 def test_unicellular_n0_is_the_trivial_map():
@@ -156,17 +156,12 @@ def test_cycle_census_counts_every_layout_and_pairing(k, kind):
 
 @pytest.mark.parametrize(
     "k, stream, n_max",
-    [
-        (1, unicellular_stream, 6),
-        (2, partial(bicellular_stream, connected_only=False), 4),
-        (3, partial(tricellular_stream, connected_only=False), 3),
-    ],
-    ids=["uni", "bi", "tri"],
+    [(1, unicellular_stream, 6), (2, bicellular_stream, 4), (3, tricellular_stream, 3)],
 )
 def test_cycle_census_matches_the_tally_of_all_pairings(k, stream, n_max):
     for n in range(n_max + 1):
         tally = {}
-        for m in stream(n):
+        for m in stream(n) if k == 1 else stream(n, connected_only=False):
             closed = m.vertex_count - k - 1
             tally[closed] = tally.get(closed, 0) + 1
         expected = [tally.get(i, 0) for i in range(max(tally, default=-1) + 1)]
