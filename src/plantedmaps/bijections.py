@@ -36,6 +36,7 @@ from plantedmaps.core import (
     MapError,
     ValidationError,
     _build,
+    _integers,
     check_invariant,
 )
 from plantedmaps.partition import (
@@ -145,7 +146,7 @@ def glue(x: CellularMap) -> CellularMap:
 
 def _marks(u: CellularMap, x: int, y: int) -> tuple[int, int]:
     """Check a mark pair of a one-face map: root or interior ids, ``x <= y``."""
-    x, y = int(x), int(y)
+    x, y = _integers((x, y), "marks")
     last = 2 * u.np_edge_count
     for m in (x, y):
         if m == last + 1:
@@ -165,12 +166,11 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
     in when a predecessor is removed or absent).  Genus is preserved and the
     edge count drops by one.
     """
+    a, b = sorted(_integers(edge, "edge ids"))
     if u.k != 1:
-        a0, b0 = edge
-        if u.faces.face_of(a0) != u.faces.face_of(b0):
+        if u.faces.face_of(a) != u.faces.face_of(b):
             raise TwoSided("only one-sided edges can be contracted")
         raise ValidationError("contract expects a one-face map")
-    a, b = sorted(int(h) for h in edge)
     last = 2 * u.np_edge_count
     if a < 1 or b > last:
         raise EdgeIsPlant(f"({a},{b}) touches the plant edge")

@@ -35,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
@@ -85,6 +86,14 @@ class InvariantError(MapError):
     at fault."""
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` read by ``operator.index``; floats and strings raise :class:`ValidationError`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValidationError(f"{what} must be integers, got {values!r}") from None
+
+
 def check_invariant(ok: bool, message: str) -> None:
     """Raise :class:`InvariantError` unless ``ok``; unlike ``assert`` the
     check stays on under ``python -O``."""
@@ -107,7 +116,7 @@ class FaceStructure:
     total_half_edges: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.interior_sizes)
+        sizes = _integers(self.interior_sizes, "interior sizes")
         object.__setattr__(self, "interior_sizes", sizes)
         if not 1 <= len(sizes) <= 3:
             raise ValidationError(f"face count must be between 1 and 3, got {len(sizes)}")
@@ -340,7 +349,7 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
     """
     if not isinstance(faces, FaceStructure):
         faces = FaceStructure(tuple(faces))
-    partner = tuple(int(a) for a in alpha)
+    partner = _integers(alpha, "alpha entries")
     total = faces.total_half_edges
     if len(partner) != total:
         raise SizeMismatch(f"alpha has {len(partner)} entries, map has {total} half-edges")
@@ -387,7 +396,10 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
         raise SizeMismatch(f"alpha has {len(pairs)} pairs, map has {total} half-edges")
     partner = [-1] * total
     for a, b in pairs:
-        a, b = int(a), int(b)
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise ValidationError(f"half-edge ids must be integers, got ({a!r}, {b!r})") from None
         for h in (a, b):
             if not 0 <= h < total:
                 raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
@@ -405,7 +417,8 @@ def from_np_pairs(
     faces = FaceStructure(tuple(interiors))
     np_ids = faces.np_ids
     all_pairs = [(faces.root(i), faces.plant(i)) for i in range(faces.k)]
-    for s, t in pairs:
+    for pair in pairs:
+        s, t = _integers(pair, "np indices")
         if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
         all_pairs.append((np_ids[s - 1], np_ids[t - 1]))

@@ -17,7 +17,7 @@ and each partition leaf against the recurrence table and the census.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 from plantedmaps import census, partition
 from plantedmaps.core import BoundExceeded, MapError
@@ -90,9 +90,9 @@ class HZTable:
         return self.u(g, n)
 
     def _conv(self, f, h, g: int, n: int) -> int:
-        """Ordered pairs of pieces, counted by ``f`` and ``h``, whose genera
-        sum to ``g`` and whose edge counts sum to ``n``."""
-        return sum(f(a, m) * h(g - a, n - m) for a in range(g + 1) for m in range(n + 1))
+        """Ordered pairs of pieces, counted by ``f`` (one-face pieces, of genus
+        ``a <= m // 2``) and ``h``, whose genera sum to ``g`` and edge counts to ``n``."""
+        return sum(f(a, m) * h(g - a, n - m) for m in range(n + 1) for a in range(min(g, m // 2) + 1))
 
     @_memoised
     def bicellular(self, g: int, n: int) -> int:
@@ -112,16 +112,10 @@ class HZTable:
         return self._conv(self.u_star, self.bicellular, g + 1, n)
 
     @_memoised
-    def _double_split(self, g: int, n: int) -> int:
-        """Ordered pairs of non-trivial one-face pieces with genus sum g and
-        edge sum n."""
-        return self._conv(self.u_star, self.u_star, g, n)
-
-    @_memoised
     def triple_split(self, g: int, n: int) -> int:
         """Ordered triples of non-trivial one-face pieces with genus sum
         g+2 and edge sum n."""
-        return self._conv(self.u_star, self._double_split, g + 2, n)
+        return self._conv(self.u_star, partial(self._conv, self.u_star, self.u_star), g + 2, n)
 
     def d_value(self, g: int, n: int) -> int:
         """Disconnected-pieces count: three single splits plus the triple

@@ -13,12 +13,15 @@ else.  A surgery that raises on its own domain fails the check.
 equals the image, each of its elements is ``y = forward(x)`` for some
 domain element ``x``, whose pass found ``inverse(y) == x`` (or recorded the
 failure), so ``forward(inverse(y)) == forward(x) == y``.
+
+The ``split5`` codomains are the ordered products of pieces that the
+oracle's convolution counts.  A piece with ``m`` edges has genus at most
+``m // 2``, so building them costs the same at any ``g``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import product
 
 from plantedmaps import bijections as bij
 from plantedmaps import census, partition
@@ -165,38 +168,22 @@ def _mark_pairs(u: CellularMap, same_vertex: bool) -> list[tuple[CellularMap, tu
     ]
 
 
-def _split_codomain_single(g: int, n: int):
-    """(one-face piece, two-face piece) pairs: genus sum g+1, edge sum n,
-    the one-face piece nontrivial."""
-    out = []
-    for g3 in range(g + 2):
-        for j in range(n + 1):
-            if g3 == 0 and j == 0:
-                continue
-            for unip in uni_maps(g3, j):
-                for bip in bi_maps(g + 1 - g3, n - j):
-                    out.append((unip, bip))
-    return out
+def _uni_star(genus: int, n: int) -> tuple[CellularMap, ...]:
+    """:func:`uni_maps` less the edgeless map, which no split piece may be."""
+    return uni_maps(genus, n) if n else ()
 
 
-def _split_codomain_triple(g: int, n: int):
-    """Ordered triples of nontrivial one-face pieces: genus sum g+2, edge
-    sum n."""
-    out = []
-    for g1 in range(g + 3):
-        for g2 in range(g + 3 - g1):
-            for m1 in range(n + 1):
-                for m2 in range(n + 1 - m1):
-                    if (g1 == 0 and m1 == 0) or (g2 == 0 and m2 == 0):
-                        continue
-                    g3, m3 = g + 2 - g1 - g2, n - m1 - m2
-                    if g3 == 0 and m3 == 0:
-                        continue
-                    for t in product(
-                        uni_maps(g1, m1), uni_maps(g2, m2), uni_maps(g3, m3)
-                    ):
-                        out.append(t)
-    return out
+def _pieces(f, h, g: int, n: int) -> list[tuple]:
+    """Ordered pairs ``(x, y)``, ``x`` from ``f(a, m)`` and ``y`` from
+    ``h(g - a, n - m)``, that :meth:`oracle.HZTable._conv` counts; ``a`` stops
+    at ``m // 2``, the largest genus of a one-face piece with ``m`` edges."""
+    return [
+        (x, y)
+        for m in range(n + 1)
+        for a in range(min(g, m // 2) + 1)
+        for x in f(a, m)
+        for y in h(g - a, n - m)
+    ]
 
 
 def _insert_edge(marked: tuple[CellularMap, tuple[int, int]]):
@@ -237,12 +224,15 @@ def _checks(name: str, g: int, n: int) -> dict[str, tuple]:
         return {name: (domain, partial(bij.eta, i), partial(bij.eta_inv, i), codomain)}
     if name == "theta":
         return {name: (by_class["II"], bij.theta, bij.theta_inv, tri_maps(g, n))}
+    single = _pieces(_uni_star, bi_maps, g + 1, n)
+    pairs = partial(_pieces, _uni_star, _uni_star)
+    triple = [(x, *yz) for x, yz in _pieces(_uni_star, pairs, g + 2, n)]
     return {
         f"split5({i})": (
             by_class[f"F5{i}"],
             partial(bij.split5, i),
             partial(bij.join5, i),
-            _split_codomain_single(g, n) if i <= 3 else _split_codomain_triple(g, n),
+            single if i <= 3 else triple,
         )
         for i in (1, 2, 3, 4)
     }

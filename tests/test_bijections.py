@@ -58,6 +58,8 @@ def test_contract_errors():
         bij.contract(M2, (0, 5))
     with pytest.raises(ValidationError):
         bij.contract(M2, (1, 2))  # not an edge
+    with pytest.raises(ValidationError, match="must be integers"):
+        bij.contract(uni(5, (1, 10), (2, 6), (3, 7), (4, 8), (5, 9)), (1.0, 10))
     crossing = mk((1, 1), (1, 2))  # pair spans the two faces: ids 1 and 4
     with pytest.raises(bij.TwoSided):
         bij.contract(crossing, (1, 4))
@@ -129,8 +131,10 @@ def test_insert_pair_lands_in_class_b_for_every_mark_pair():
         ((9, 9), bij.MarkIsPlant),
         ((-1, 2), ValidationError),
         ((0, 10), ValidationError),
+        ((0, 0.0), ValidationError),
+        (("0", 8), ValidationError),
     ],
-    ids=["order", "plant", "both_plant", "below_root", "past_plant"],
+    ids=["order", "plant", "both_plant", "below_root", "past_plant", "float", "string"],
 )
 def test_insertions_share_the_mark_check(insert, marks, exc):
     # M4 has interior 1..8 and its plant at 9

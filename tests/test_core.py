@@ -19,6 +19,7 @@ from plantedmaps.core import (
     canonicalize,
     decode,
     from_np_pairs,
+    involution_from_pairs,
     validate,
 )
 from plantedmaps.census import bicellular_stream, tricellular_stream, unicellular_stream
@@ -285,6 +286,28 @@ def test_maps_are_hashable_values():
 def test_from_np_pairs_rejects_bad_index():
     with pytest.raises(SizeMismatch):
         from_np_pairs((2,), [(1, 5)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FaceStructure((2.7,)),
+        lambda: FaceStructure(("2",)),
+        lambda: validate((2,), [3, 2.7, 1, 0]),
+        lambda: validate((2.0,), [3, 2, 1, 0]),
+        lambda: from_np_pairs((2,), [(1.9, 2)]),
+        lambda: from_np_pairs((2,), [("1", 2)]),
+        lambda: involution_from_pairs([(0, 1.0)], 2),
+    ],
+    ids=[
+        "size_float", "size_str", "alpha_float", "faces_float", "np_float", "np_str", "pair_float"
+    ],
+)
+def test_non_integral_numbers_are_rejected(call):
+    # ``int`` would truncate 2.7 and parse "2"; every entry point refuses
+    # them, as ``decode`` refuses 2.0 and "2".
+    with pytest.raises(ValidationError, match="must be integers"):
+        call()
 
 
 # Malformed pairings of a two-edge one-face map (ids 0..5, interior 1..4):

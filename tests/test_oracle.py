@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from conftest import catalan, double_factorial_odd
@@ -125,3 +127,15 @@ def test_a_second_theorem_report_runs_no_convolution(monkeypatch):
     monkeypatch.setattr(HZTable, "_conv", counted)
     assert oracle.verify_theorem(1, 6)["ok"]
     assert calls == []
+
+
+def test_convolutions_stop_at_the_largest_genus_of_the_first_piece():
+    # f(a, m) is a one-face count, zero once a > m // 2: the clamped sum is
+    # the full one.
+    t = HZTable(24)
+    double = partial(t._conv, t.u_star, t.u_star)
+    for f, h in [(t.u, t.u), (t.u_star, t.bicellular), (t.u_star, t.u_star), (t.u_star, double)]:
+        for g in range(9):
+            for n in range(17):
+                full = sum(f(a, m) * h(g - a, n - m) for a in range(g + 1) for m in range(n + 1))
+                assert t._conv(f, h, g, n) == full, (f, h, g, n)

@@ -1,6 +1,6 @@
 import pytest
 
-from plantedmaps import census, roundtrips
+from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.census import bicellular_stream, tricellular_stream, unicellular_stream
 from plantedmaps.roundtrips import bi_maps, three_face_maps, tri_maps, uni_maps
 
@@ -77,3 +77,55 @@ def test_check_matches_the_codomain_one_to_one():
             "abs: image misses 1 of the 3 codomain elements and adds 0 (image has 2)",
         ],
     )
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_split5_codomains_have_the_oracle_sizes(n):
+    t = oracle.table()
+    for g in range((n + 2) // 2 + 2):
+        codomains = [entry[3] for entry in roundtrips._checks("split5", g, n).values()]
+        expected = [t.single_split(g, n)] * 3 + [t.triple_split(g, n)]
+        assert [sum(1 for _ in c) for c in codomains] == expected, (g, n)
+
+
+def _identity_term(name: str, g: int, n: int) -> int:
+    """The term of the counting identity that counts ``name``'s domain."""
+    t = oracle.table()
+    if name.startswith("eta"):
+        return t.u(g + 2, n + 1 if int(name[3]) <= 4 else n)
+    if name == "theta":
+        return census.count("tricellular", n).get(g, n)
+    if name in ("delete", "psi"):
+        return (n + 1) * (2 * n + 1) * t.u(g + 1, n)
+    if name == "split5":
+        return 3 * t.single_split(g, n) + t.triple_split(g, n)
+    hist = partition.histogram(g, n)  # cut: every scenario-A leaf
+    return hist.total - hist.classes["U1"] - hist.classes["B"]
+
+
+@pytest.mark.parametrize("name", [b for b in roundtrips.BIJECTION_NAMES if b != "contract"])
+def test_domain_sizes_equal_their_identity_terms(name):
+    for n in range(4):
+        for g in range((n + 2) // 2 + 2):
+            rep = roundtrips.roundtrip(name, g, n)
+            assert rep["ok"] and rep["domain_size"] == _identity_term(name, g, n), (g, n)
+
+
+def test_split_codomains_and_convolutions_stop_at_the_largest_genus(monkeypatch):
+    # A piece with m edges has genus at most m // 2, so the work of the split
+    # codomains and of the oracle's convolutions does not grow with g.
+    calls = []
+
+    def budgeted(f):
+        def call(*args):
+            calls.append(args)
+            if len(calls) > 10_000:
+                raise RuntimeError(f"over 10 000 calls to uni_maps and HZTable.u, at {f.__name__}")
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(roundtrips, "uni_maps", budgeted(roundtrips.uni_maps))
+    monkeypatch.setattr(oracle.HZTable, "u", budgeted(oracle.HZTable.u))
+    assert roundtrips.roundtrip("split5", 10**4, 4)["domain_size"] == 0
+    assert oracle.verify_theorem(10**4, 0)["ok"]
