@@ -178,7 +178,7 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
         raise ValidationError(f"({a},{b}) is not an edge of the map")
     if u.vertex_of[a] == u.vertex_of[b]:
         raise SameVertex(f"both ends of ({a},{b}) meet the same vertex")
-    out = _build(u.alpha, ([t for t in range(last + 2) if t != a and t != b],))
+    out = _build(u.alpha, ([*range(a), *range(a + 1, b), *range(b + 1, last + 2)],))
     check_invariant(out.genus() == u.genus(), "contract must keep the genus")
     return out, (a - 1, b - 2)
 

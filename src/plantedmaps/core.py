@@ -16,7 +16,10 @@ the number of ``sigma`` cycles, by a flat walk that labels each half-edge
 with its cycle and stores no cycle.  The labels
 (:attr:`CellularMap.vertex_of`) are kept only when a caller asks for them,
 and the cycle tuples (:attr:`CellularMap.vertex_cycles`) are built only for
-``show``.
+``show``.  Connectivity needs no ``sigma``: it is read from the closure of
+the face blocks under ``alpha`` (:attr:`CellularMap.is_connected`).
+
+:meth:`CellularMap.encode` writes the compact JSON text directly.
 
 Storing ``alpha`` as a partner array over a dense id range gives O(1) edge
 lookups and keeps exhaustive enumeration cache friendly.
@@ -25,7 +28,8 @@ One builder, :func:`_build`, relabels face words written root to plant by
 position; the surgeries of :mod:`plantedmaps.bijections` and
 :func:`canonicalize` share it, each picking the error class it raises.  One
 per-id check, :func:`_check_involution`, serves every partner array read
-from input.
+from input; :func:`decode` first fills its array in one pass and calls the
+check only to name the fault of an input that fill rejects.
 """
 
 from __future__ import annotations
@@ -240,28 +244,25 @@ class CellularMap:
     @cached_property
     def is_connected(self) -> bool:
         """Whether the union closure of ``h ~ alpha(h)`` and ``h ~ sigma(h)``
-        has a single class.
+        has a single class, read from the face blocks with no search.
 
-        A one-face map needs no search: its face permutation
-        ``gamma = alpha o sigma`` is a single cycle through every half-edge,
-        so ``<alpha, sigma>`` is already transitive.
+        Since ``sigma = alpha o gamma``, the group ``<alpha, sigma>`` equals
+        ``<alpha, gamma>``, and the orbits of ``gamma`` are the face blocks.
+        So the map is connected exactly when the graph whose nodes are the
+        faces, with a link wherever ``alpha`` pairs ids of two different
+        blocks, is connected; a node has no link exactly when its block is
+        closed under ``alpha`` (:func:`_closed`).  One face is always
+        connected.  Two faces are connected iff block 0 is not closed (then
+        neither is block 1).  Three faces are connected iff no block is
+        closed: three nodes with a link each need two links, and any two
+        links on three nodes share a node.
         """
-        if self.k == 1:
+        faces = self.faces
+        if faces.k == 1:
             return True
-        total = self.total_half_edges
-        alpha, sigma = self.alpha, self.sigma
-        seen = bytearray(total)
-        seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            h = stack.pop()
-            for t in (alpha[h], sigma[h]):
-                if not seen[t]:
-                    seen[t] = 1
-                    reached += 1
-                    stack.append(t)
-        return reached == total
+        if faces.k == 2:
+            return not _closed(self.alpha, 0, faces.plants[0])
+        return not any(_closed(self.alpha, r, s) for r, s in zip(faces.roots, faces.plants))
 
     def aggregate_genus(self) -> int:
         """Half the Euler defect ``2 - V + E - k``.
@@ -295,15 +296,15 @@ class CellularMap:
         return "bicellular" if self.k == 2 else "tricellular"
 
     def encode(self) -> str:
-        """Serialize to the one-line JSON interchange form."""
-        pairs = sorted((h, p) for h, p in enumerate(self.alpha) if h < p)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "k": self.k,
-            "interiors": list(self.faces.interior_sizes),
-            "alpha": [[a, b] for a, b in pairs],
-        }
-        return json.dumps(doc, separators=(",", ":"))
+        """Serialize to the one-line JSON interchange form, written directly:
+        the bytes ``json.dumps`` gives with compact separators, since JSON
+        writes ints as ``int.__repr__`` does."""
+        sizes = ",".join(map(str, self.faces.interior_sizes))
+        pairs = ",".join([f"[{h},{p}]" for h, p in enumerate(self.alpha) if h < p])
+        return (
+            f'{{"schema_version":{SCHEMA_VERSION},"k":{self.k},'
+            f'"interiors":[{sizes}],"alpha":[{pairs}]}}'
+        )
 
     def __repr__(self) -> str:
         pairs = ",".join(
@@ -321,6 +322,12 @@ def _sigma(faces: FaceStructure, alpha: tuple[int, ...]) -> tuple[int, ...]:
     for r, s in zip(faces.roots, faces.plants):
         out += alpha[r + 1 : s + 1] + (alpha[r],)
     return out
+
+
+def _closed(alpha: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether ``alpha`` maps the ids ``lo..hi`` onto themselves."""
+    seg = alpha[lo : hi + 1]
+    return not seg or (min(seg) >= lo and max(seg) <= hi)
 
 
 def _label_vertices(sigma: Sequence[int]) -> tuple[list[int], int]:
@@ -378,8 +385,13 @@ def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
     """Check that ``partner`` is a fixed-point free involution on the ids and
     that each root is paired with its plant, and return the map."""
     _check_involution(partner)
-    for i in range(faces.k):
-        r, s = faces.root(i), faces.plant(i)
+    return _rooted(faces, partner)
+
+
+def _rooted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
+    """The map of the involution ``partner``, once each root is checked to be
+    paired with its plant."""
+    for i, (r, s) in enumerate(zip(faces.roots, faces.plants)):
         if partner[r] != s:
             raise PlantNotPairedWithRoot(
                 f"face {i}: alpha({r}) = {partner[r]}, expected the plant {s}"
@@ -428,8 +440,8 @@ def from_np_pairs(
 @lru_cache(maxsize=8)
 def _layout(lengths: tuple[int, ...]) -> FaceStructure:
     """One layout per tuple of face-word lengths, shared by the maps built
-    below.  Random inputs bring new lengths with every map, so the cache is
-    bounded."""
+    below and by :func:`decode`.  Random inputs bring new lengths with every
+    map, so the cache is bounded."""
     return FaceStructure(tuple(length - 2 for length in lengths))
 
 
@@ -525,5 +537,23 @@ def decode(text: str) -> CellularMap:
     for p in alpha_pairs:
         if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise ParseError("alpha must be a list of id pairs")
-    faces = FaceStructure(tuple(interiors))
-    return _planted(faces, involution_from_pairs(alpha_pairs, faces.total_half_edges))
+    faces = _layout(tuple(s + 2 for s in interiors))
+    total = faces.total_half_edges
+    if 2 * len(alpha_pairs) == total:
+        # One fill, exact by counting: ``total`` writes that raise no
+        # IndexError and leave no slot below 0 wrote every slot exactly
+        # once.  So no write was overwritten, no id was negative (its
+        # partner's slot would still hold it), no id appears twice, and
+        # ``partner`` is a fixed-point free involution.  Any other input
+        # goes to the per-id checks, which name its fault.
+        partner = [-1] * total
+        try:
+            for a, b in alpha_pairs:
+                partner[a] = b
+                partner[b] = a
+        except IndexError:
+            pass
+        else:
+            if min(partner) >= 0:
+                return _rooted(faces, tuple(partner))
+    return _planted(faces, involution_from_pairs(alpha_pairs, total))

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from plantedmaps.census import N_MAX, _slot_width, _unpack
-from plantedmaps.core import BoundExceeded, CellularMap, MapError
+from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed
 from plantedmaps.core import ValidationError, check_invariant
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
@@ -119,12 +119,6 @@ def _root_cycle(alpha: Sequence[int], limit: int) -> list[int]:
     if len(cycle) > 2:
         check_invariant(alpha[cycle[2]] == second + 1, "root pair (third, second + 1) missing")
     return cycle
-
-
-def _closed(alpha: Sequence[int], lo: int, hi: int) -> bool:
-    """Whether ``alpha`` maps the ids ``lo..hi`` onto themselves."""
-    seg = alpha[lo : hi + 1]
-    return not seg or (min(seg) >= lo and max(seg) <= hi)
 
 
 def v1_profile(u: CellularMap) -> V1Profile:

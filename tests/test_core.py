@@ -11,6 +11,7 @@ from plantedmaps.core import (
     Disconnected,
     FaceStructure,
     HasFixedPoint,
+    MapError,
     NotInvolution,
     ParseError,
     PlantNotPairedWithRoot,
@@ -22,7 +23,8 @@ from plantedmaps.core import (
     involution_from_pairs,
     validate,
 )
-from plantedmaps.census import bicellular_stream, tricellular_stream, unicellular_stream
+from plantedmaps import bijections
+from plantedmaps.census import _cellular_stream, bicellular_stream, tricellular_stream, unicellular_stream
 
 EPS = uni(0)
 PENDANT = uni(1, (1, 2))
@@ -111,6 +113,52 @@ def test_bicellular_connectivity():
     assert crossing.genus() == 0
 
 
+def _connected_by_search(m):
+    """Reference for ``is_connected``: a search over ``<alpha, sigma>`` from
+    id 0 that reaches every id exactly when the map is connected."""
+    alpha, sigma = m.alpha, m.sigma
+    seen = {0}
+    stack = [0]
+    while stack:
+        h = stack.pop()
+        for t in (alpha[h], sigma[h]):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen) == m.total_half_edges
+
+
+def test_connectivity_from_the_face_blocks_matches_the_search():
+    maps = [m for k in (2, 3) for n in range(5) for m in _cellular_stream(k, n, False)]
+    assert len(maps) == 6266
+    results = [m.is_connected for m in maps]
+    assert results == [_connected_by_search(m) for m in maps]
+    assert True in results and False in results
+
+
+def _random_cuts(rng, n_values, per_n):
+    """Three-face cuts of seeded uniform one-face maps; the maps the cut
+    refuses (root degree 2, or scenario B) are skipped."""
+    cuts = []
+    for n in n_values:
+        for _ in range(per_n):
+            ids = list(range(1, 2 * n + 1))
+            rng.shuffle(ids)
+            try:
+                cuts.append(bijections.cut(uni(n, *zip(ids[0::2], ids[1::2]))).map)
+            except MapError:
+                pass
+    return cuts
+
+
+def test_connectivity_on_random_three_face_cuts():
+    cuts = _random_cuts(random.Random(20), range(20, 61), 4)
+    assert len(cuts) > 40
+    for m in cuts:
+        assert m.k == 3
+        assert m.is_connected == _connected_by_search(m)
+
+
 def test_canonicalize_identity_and_idempotence():
     m = uni(3, (1, 4), (2, 6), (3, 5))
     cycles = (tuple(range(m.total_half_edges)),)
@@ -197,6 +245,39 @@ def test_encode_examples():
         "interiors": [4],
         "alpha": [[0, 5], [1, 3], [2, 4]],
     }
+
+
+def _encode_reference(m):
+    """The interchange text built as a document and written by ``json``."""
+    pairs = sorted((h, p) for h, p in enumerate(m.alpha) if h < p)
+    doc = {
+        "schema_version": 1,
+        "k": m.k,
+        "interiors": list(m.faces.interior_sizes),
+        "alpha": [[a, b] for a, b in pairs],
+    }
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def test_encode_bytes_match_json_dumps():
+    maps = [m for n in range(5) for m in unicellular_stream(n)]
+    for n in range(4):
+        maps += bicellular_stream(n, connected_only=False)
+        maps += tricellular_stream(n, connected_only=False)
+    rng = random.Random(200)
+    for n in (20, 57, 120, 200):
+        ids = list(range(1, 2 * n + 1))
+        rng.shuffle(ids)
+        maps.append(uni(n, *zip(ids[0::2], ids[1::2])))
+    maps += _random_cuts(rng, (20, 90, 200), 3)
+    assert {m.k for m in maps} == {1, 2, 3}
+    for m in maps:
+        assert m.encode() == _encode_reference(m)
+
+
+def test_decode_accepts_pairs_in_any_order():
+    m = uni(3, (1, 4), (2, 6), (3, 5))
+    assert decode('{"k":1,"interiors":[6],"alpha":[[5,3],[7,0],[4,1],[2,6]]}') == m
 
 
 def test_decode_accepts_missing_schema_version():
@@ -313,25 +394,51 @@ def test_non_integral_numbers_are_rejected(call):
 # Malformed pairings of a two-edge one-face map (ids 0..5, interior 1..4):
 # the ``alpha`` of a ``decode`` document, the same fault as ``from_np_pairs``
 # interior pairs (None where that entry point supplies the root/plant pair
-# itself), as a ``validate`` partner array (-1 at an unpaired id), and the
-# exception class all three must raise.
+# itself), as a ``validate`` partner array (-1 at an unpaired id), the
+# exception class all three must raise, and ``decode``'s exact message.
 MALFORMED_ALPHA = {
     "id_out_of_range": (
-        [[0, 5], [1, 3], [2, 6]], [(1, 3), (2, 5)], (5, 3, 6, 1, 2, 0), SizeMismatch
+        [[0, 5], [1, 3], [2, 6]], [(1, 3), (2, 5)], (5, 3, 6, 1, 2, 0), SizeMismatch,
+        "half-edge id 6 out of range 0..5",
     ),
     "fixed_point": (
-        [[0, 5], [1, 1], [2, 4]], [(1, 1), (2, 4)], (5, 1, 4, 3, 2, 0), HasFixedPoint
+        [[0, 5], [1, 1], [2, 4]], [(1, 1), (2, 4)], (5, 1, 4, 3, 2, 0), HasFixedPoint,
+        "alpha fixes half-edge 1",
     ),
     "paired_twice": (
-        [[0, 5], [1, 3], [3, 2]], [(1, 3), (3, 2)], (5, 3, 3, 1, 2, 0), NotInvolution
+        [[0, 5], [1, 3], [3, 2]], [(1, 3), (3, 2)], (5, 3, 3, 1, 2, 0), NotInvolution,
+        "alpha(alpha(1)) = 2 != 1",
     ),
-    "unpaired_id": ([[0, 5], [1, 3]], [(1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch),
+    "unpaired_id": (
+        [[0, 5], [1, 3]], [(1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch,
+        "alpha has 2 pairs, map has 6 half-edges",
+    ),
     # as many pairs as a full pairing, so an id is left unpaired
     "repeated_pair": (
-        [[0, 5], [1, 3], [1, 3]], [(1, 3), (1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch
+        [[0, 5], [1, 3], [1, 3]], [(1, 3), (1, 3)], (5, 3, -1, 1, -1, 0), SizeMismatch,
+        "half-edge 2 is unpaired",
     ),
     "plant_not_paired_with_root": (
-        [[0, 2], [1, 5], [3, 4]], None, (2, 5, 0, 4, 3, 1), PlantNotPairedWithRoot
+        [[0, 2], [1, 5], [3, 4]], None, (2, 5, 0, 4, 3, 1), PlantNotPairedWithRoot,
+        "face 0: alpha(0) = 2, expected the plant 5",
+    ),
+    # a negative id must not index a list from its end
+    "negative_id": (
+        [[0, 5], [1, -3], [2, 4]], [(1, -3), (2, 4)], (5, -3, 4, -1, 2, 0), SizeMismatch,
+        "half-edge id -3 out of range 0..5",
+    ),
+    # -6 would land on slot 0, the root's, which its pair writes anyway
+    "negative_id_wraps_to_the_plants_slot": (
+        [[0, -6], [1, 3], [2, 4]], None, (-6, 3, 4, 1, 2, 0), SizeMismatch,
+        "half-edge id -6 out of range 0..5",
+    ),
+    "id_past_the_end": (
+        [[0, 5], [1, 6], [2, 4]], [(1, 6), (2, 4)], (5, 6, 4, -1, 2, 0), SizeMismatch,
+        "half-edge id 6 out of range 0..5",
+    ),
+    "too_many_pairs": (
+        [[0, 5], [1, 3], [2, 4], [2, 4]], [(1, 3), (2, 4), (2, 4)], (5, 3, 4, 1, 2, 0, 4),
+        SizeMismatch, "alpha has 4 pairs, map has 6 half-edges",
     ),
 }
 
@@ -340,20 +447,23 @@ MALFORMED_ALPHA = {
     "case, entry",
     [
         (case, entry)
-        for case, (_, np_pairs, _, _) in MALFORMED_ALPHA.items()
+        for case, (_, np_pairs, _, _, _) in MALFORMED_ALPHA.items()
         for entry in ("decode", "from_np_pairs", "validate")
         if entry != "from_np_pairs" or np_pairs is not None
     ],
 )
 def test_malformed_alpha_raises_one_class(case, entry):
-    doc_alpha, np_pairs, partner, exc = MALFORMED_ALPHA[case]
-    with pytest.raises(exc):
+    doc_alpha, np_pairs, partner, exc, message = MALFORMED_ALPHA[case]
+    with pytest.raises(exc) as raised:
         if entry == "decode":
             decode(json.dumps({"k": 1, "interiors": [4], "alpha": doc_alpha}))
         elif entry == "from_np_pairs":
             from_np_pairs((4,), np_pairs)
         else:
             validate((4,), partner)
+    if entry == "decode":
+        assert type(raised.value) is exc
+        assert str(raised.value) == message
 
 
 def _check_flat_genus(m):
