@@ -132,11 +132,8 @@ def glue(x: CellularMap) -> CellularMap:
         raise ValidationError(
             "negative aggregate genus: the glued map would fall below genus 2"
         )
-    faces = x.faces
-    blocks = [tuple(range(faces.root(i), faces.plant(i) + 1)) for i in range(3)]
-    interior3 = blocks[2][1:-1]
-    seq = (faces.root(2),) + blocks[0] + blocks[1] + interior3 + (faces.plant(2),)
-    out = _build(x.alpha, (seq,))
+    r3, s3 = x.faces.root(2), x.faces.plant(2)
+    out = _build(x.alpha, ([r3, *range(r3), *range(r3 + 1, s3 + 1)],))
     check_invariant(out.np_edge_count == x.np_edge_count + 2, "glue must add two edges")
     check_invariant(out.genus() == x.aggregate_genus() + 2, "glue must raise the genus by two")
     cycle = _root_start(out)

@@ -135,9 +135,7 @@ def _pairings(faces: FaceStructure) -> Iterator[list[int]]:
 def unicellular_stream(n: int) -> Iterator[CellularMap]:
     """All planted one-face maps with ``n`` non-plant edges, one per perfect
     matching of the interior, in lexicographic matching order."""
-    faces = FaceStructure((2 * n,))
-    for partner in _pairings(faces):
-        yield CellularMap(faces, tuple(partner))
+    yield from _cellular_stream(1, n, False)
 
 
 def _cellular_stream(k: int, n: int, connected_only: bool) -> Iterator[CellularMap]:
@@ -353,6 +351,16 @@ class CountTable:
         return json.dumps({"kind": self.kind, "table": table}, separators=(",", ":"))
 
 
+def _genus_of_closed(k: int, n: int, closed: int, what: str) -> int:
+    """Genus of a ``k``-face map with ``n`` non-plant edges whose scan closed
+    ``closed`` sigma-cycles: sigma has the ``k`` fixed plants and ``closed +
+    1`` further cycles, so ``2g = n + 1 - k - closed``.  Raises
+    :class:`InvariantError` when that is odd or negative."""
+    two_g = n + 1 - k - closed
+    check_invariant(two_g >= 0 and two_g % 2 == 0, f"{what}: 2g = {two_g}")
+    return two_g // 2
+
+
 def count(kind: str, n: int) -> CountTable:
     """Census counts of ``kind`` maps with ``n`` non-plant edges by genus.
 
@@ -364,10 +372,7 @@ def count(kind: str, n: int) -> CountTable:
     tally = [0] * (n // 2 + 1)
     for closed, c in enumerate(_connected_census(k, n)):
         if c:
-            # sigma has k fixed plants and closed + 1 further cycles
-            two_g = n + 1 - k - closed
-            check_invariant(two_g >= 0 and two_g % 2 == 0, f"{kind} census: 2g = {two_g}")
-            tally[two_g // 2] += c
+            tally[_genus_of_closed(k, n, closed, f"{kind} census")] += c
     return CountTable(kind, {(g, n): c for g, c in enumerate(tally)})
 
 

@@ -8,7 +8,9 @@ contiguous block whose first id (the root ``R_i``) is paired with its last id
 face successor ``gamma`` walks each block cyclically, the vertex permutation
 is ``sigma = alpha o gamma``, and two maps are equal exactly when they have
 the same interior sizes and the same pairing (labelled equality; no
-automorphism quotient is taken).
+automorphism quotient is taken).  The layout is stated once, as the first id
+of each block (:attr:`FaceStructure.roots`); the plants, the non-plant ids
+and the face of an id are read from it.
 
 Inside a block ``gamma(h) = h + 1``, so ``sigma`` is read from slices of
 ``alpha`` without building ``gamma``.  Each map's genus is counted once, from
@@ -28,8 +30,10 @@ One builder, :func:`_build`, relabels face words written root to plant by
 position; the surgeries of :mod:`plantedmaps.bijections` and
 :func:`canonicalize` share it, each picking the error class it raises.  One
 per-id check, :func:`_check_involution`, serves every partner array read
-from input; :func:`decode` first fills its array in one pass and calls the
-check only to name the fault of an input that fill rejects.
+from input.  One reader, :func:`involution_from_pairs`, turns the id pairs
+of :func:`decode` and :func:`from_np_pairs` into a partner array: it fills
+the array in one pass and calls the check only to name the fault of an
+input that fill refuses.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import index
+from itertools import accumulate, chain
+from operator import countOf, index
 from typing import Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
@@ -130,49 +134,31 @@ class FaceStructure:
         object.__setattr__(self, "total_half_edges", sum(sizes) + 2 * len(sizes))
 
     @cached_property
-    def block_starts(self) -> tuple[int, ...]:
-        starts = []
-        p = 0
-        for s in self.interior_sizes:
-            starts.append(p)
-            p += s + 2
-        return tuple(starts)
-
-    def root(self, i: int) -> int:
-        return self.block_starts[i]
-
-    def plant(self, i: int) -> int:
-        return self.block_starts[i] + self.interior_sizes[i] + 1
-
-    @cached_property
     def roots(self) -> tuple[int, ...]:
-        return tuple(self.root(i) for i in range(self.k))
+        """The layout: the first id of each face block, the running sum of
+        the block lengths."""
+        return tuple(accumulate([s + 2 for s in self.interior_sizes[:-1]], initial=0))
 
     @cached_property
     def plants(self) -> tuple[int, ...]:
-        return tuple(self.plant(i) for i in range(self.k))
+        return tuple(r + s + 1 for r, s in zip(self.roots, self.interior_sizes))
+
+    def root(self, i: int) -> int:
+        return self.roots[i]
+
+    def plant(self, i: int) -> int:
+        return self.plants[i]
 
     def face_of(self, h: int) -> int:
         """Index of the face whose block contains id ``h``."""
         if not 0 <= h < self.total_half_edges:
             raise ValidationError(f"half-edge id {h} out of range")
-        return bisect_right(self.block_starts, h) - 1
+        return bisect_right(self.roots, h) - 1
 
     @cached_property
     def np_ids(self) -> tuple[int, ...]:
         """Non-plant half-edge ids in face order."""
-        out = []
-        for i in range(self.k):
-            out.extend(range(self.root(i) + 1, self.plant(i)))
-        return tuple(out)
-
-    @cached_property
-    def gamma(self) -> tuple[int, ...]:
-        """Face successor permutation; wraps each block from plant to root."""
-        g = list(range(1, self.total_half_edges + 1))
-        for i in range(self.k):
-            g[self.plant(i)] = self.root(i)
-        return tuple(g)
+        return tuple(chain.from_iterable(range(r + 1, s) for r, s in zip(self.roots, self.plants)))
 
 
 @dataclass(frozen=True)
@@ -360,7 +346,8 @@ def validate(faces: FaceStructure | Sequence[int], alpha: Sequence[int]) -> Cell
     total = faces.total_half_edges
     if len(partner) != total:
         raise SizeMismatch(f"alpha has {len(partner)} entries, map has {total} half-edges")
-    return _planted(faces, partner)
+    _check_involution(partner)
+    return _rooted(faces, partner)
 
 
 def _check_involution(partner: Sequence[int], ids: Sequence[int] | None = None) -> None:
@@ -381,13 +368,6 @@ def _check_involution(partner: Sequence[int], ids: Sequence[int] | None = None) 
             raise NotInvolution(f"alpha(alpha({ids[h]})) = {ids[partner[p]]} != {ids[h]}")
 
 
-def _planted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
-    """Check that ``partner`` is a fixed-point free involution on the ids and
-    that each root is paired with its plant, and return the map."""
-    _check_involution(partner)
-    return _rooted(faces, partner)
-
-
 def _rooted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
     """The map of the involution ``partner``, once each root is checked to be
     paired with its plant."""
@@ -400,12 +380,33 @@ def _rooted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
 
 
 def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple[int, ...]:
-    """Partner array from id pairs covering ``range(total)``, ``-1`` at an
-    unpaired id.  Checks the pair count before allocating and each id's range
-    before writing; with the count right, an id paired twice leaves another
-    unpaired, and :func:`_check_involution` rejects the result."""
+    """The one reader of id pairs: the partner array of ``pairs``, checked to
+    be a fixed-point free involution on ``range(total)``.
+
+    The pair count is checked before anything is allocated.  Then one fill,
+    exact by counting.  The array starts as ``None``; ``total`` writes that
+    raise nothing and leave an ``int`` in every slot wrote each slot exactly
+    once, a negative id ``a`` at slot ``a + total``.  So the ids sum to
+    ``total * (total - 1) // 2``, less ``total`` for each negative id; with
+    that sum no id is negative, none appears twice, and the array is a
+    fixed-point free involution.  Asking for exact ``int`` entries sends
+    ``bool`` and NumPy ids to the read below, whose ``operator.index`` makes
+    them plain ints.  Any input the fill refuses is read again pair by pair,
+    with a range check per id, and :func:`_check_involution` names its
+    fault.
+    """
     if 2 * len(pairs) != total:
         raise SizeMismatch(f"alpha has {len(pairs)} pairs, map has {total} half-edges")
+    partner = [None] * total
+    try:
+        for a, b in pairs:
+            partner[a] = b
+            partner[b] = a
+    except (IndexError, TypeError):
+        pass
+    else:
+        if countOf(map(type, partner), int) == total and sum(partner) == total * (total - 1) // 2:
+            return tuple(partner)
     partner = [-1] * total
     for a, b in pairs:
         try:
@@ -417,6 +418,7 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
                 raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
         partner[a] = b
         partner[b] = a
+    _check_involution(partner)
     return tuple(partner)
 
 
@@ -428,13 +430,13 @@ def from_np_pairs(
     supplied automatically, so each root is paired with its plant."""
     faces = FaceStructure(tuple(interiors))
     np_ids = faces.np_ids
-    all_pairs = [(faces.root(i), faces.plant(i)) for i in range(faces.k)]
+    all_pairs = list(zip(faces.roots, faces.plants))
     for pair in pairs:
         s, t = _integers(pair, "np indices")
         if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
         all_pairs.append((np_ids[s - 1], np_ids[t - 1]))
-    return _planted(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
+    return _rooted(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
 
 
 @lru_cache(maxsize=8)
@@ -538,22 +540,4 @@ def decode(text: str) -> CellularMap:
         if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise ParseError("alpha must be a list of id pairs")
     faces = _layout(tuple(s + 2 for s in interiors))
-    total = faces.total_half_edges
-    if 2 * len(alpha_pairs) == total:
-        # One fill, exact by counting: ``total`` writes that raise no
-        # IndexError and leave no slot below 0 wrote every slot exactly
-        # once.  So no write was overwritten, no id was negative (its
-        # partner's slot would still hold it), no id appears twice, and
-        # ``partner`` is a fixed-point free involution.  Any other input
-        # goes to the per-id checks, which name its fault.
-        partner = [-1] * total
-        try:
-            for a, b in alpha_pairs:
-                partner[a] = b
-                partner[b] = a
-        except IndexError:
-            pass
-        else:
-            if min(partner) >= 0:
-                return _rooted(faces, tuple(partner))
-    return _planted(faces, involution_from_pairs(alpha_pairs, total))
+    return _rooted(faces, involution_from_pairs(alpha_pairs, faces.total_half_edges))

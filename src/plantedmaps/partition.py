@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from plantedmaps.census import N_MAX, _slot_width, _unpack
+from plantedmaps.census import N_MAX, _genus_of_closed, _slot_width, _unpack
 from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -304,8 +304,7 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
         for closed, c in enumerate(_unpack(states[b"\0"], width)):
             if not c:
                 continue
-            # sigma has the fixed plant and closed + 1 further cycles
-            g = (total_np - closed) // 2
+            g = _genus_of_closed(1, total_np, closed, "leaf census")
             for dom in domains(tag):
                 tally[g, dom] = tally.get((g, dom), 0) + c
     return tally

@@ -13,6 +13,7 @@ from plantedmaps.census import (
     _class_moves,
     _connected_census,
     _cycle_census,
+    _genus_of_closed,
     _slot_width,
     _unpack,
     bicellular_stream,
@@ -21,6 +22,7 @@ from plantedmaps.census import (
     tricellular_stream,
     unicellular_stream,
 )
+from plantedmaps.core import InvariantError
 from plantedmaps.partition import _closes, _join
 
 
@@ -284,6 +286,14 @@ def test_streams_are_lexicographic_per_layout(stream, n_max):
             layout = m.faces.interior_sizes
             assert layout not in last or last[layout] < m.alpha, (n, m)
             last[layout] = m.alpha
+
+
+def test_genus_of_closed_rejects_odd_or_negative_2g():
+    assert _genus_of_closed(1, 4, 0, "uni") == 2
+    assert _genus_of_closed(3, 4, 0, "tri") == 1
+    for k, n, closed in ((1, 3, 0), (1, 2, 4), (3, 1, 1)):
+        with pytest.raises(InvariantError, match="2g = "):
+            _genus_of_closed(k, n, closed, "census")
 
 
 def test_bound_exceeded():

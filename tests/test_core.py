@@ -17,6 +17,7 @@ from plantedmaps.core import (
     PlantNotPairedWithRoot,
     SizeMismatch,
     ValidationError,
+    _check_involution,
     canonicalize,
     decode,
     from_np_pairs,
@@ -24,7 +25,13 @@ from plantedmaps.core import (
     validate,
 )
 from plantedmaps import bijections
-from plantedmaps.census import _cellular_stream, bicellular_stream, tricellular_stream, unicellular_stream
+from plantedmaps.census import (
+    _cellular_stream,
+    bicellular_stream,
+    compositions,
+    tricellular_stream,
+    unicellular_stream,
+)
 
 EPS = uni(0)
 PENDANT = uni(1, (1, 2))
@@ -391,6 +398,73 @@ def test_non_integral_numbers_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0, True)], [(True, 0)], [(False, True)], [(0, 5), (True, 3), (2, 4)]],
+    ids=["bool_partner", "bool_id", "both_bool", "bool_among_ints"],
+)
+def test_pair_reader_returns_int_ids(pairs):
+    # ``bool`` is an ``int`` subclass that indexes a list; the reader must
+    # still return plain ints, or ``encode`` would write ``[0,True]``.
+    partner = involution_from_pairs(pairs, 2 * len(pairs))
+    assert all(type(p) is int for p in partner)
+    m = CellularMap(FaceStructure((2 * len(pairs) - 2,)), partner)
+    assert "True" not in m.encode() and "False" not in m.encode()
+
+
+def _pairs_read_one_by_one(pairs, total):
+    """The pair reader without its one fill: each id read and range checked,
+    then the per-id check of the whole array."""
+    partner = [-1] * total
+    for a, b in pairs:
+        for h in (a, b):
+            if not 0 <= h < total:
+                raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
+        partner[a] = b
+        partner[b] = a
+    _check_involution(partner)
+    return tuple(partner)
+
+
+def _read(reader, pairs, total):
+    try:
+        return reader(pairs, total)
+    except MapError as exc:
+        return type(exc), str(exc)
+
+
+def test_one_fill_agrees_with_the_pair_by_pair_read():
+    # Every pairing of 4 ids drawn from -5..4, and seeded ones of 6 and 8
+    # ids from -9..8: repeated, negative (wrapping or not) and too large ids.
+    cases = [
+        ([(a, b), (c, d)], 4)
+        for a in range(-5, 5) for b in range(-5, 5) for c in range(-5, 5) for d in range(-5, 5)
+    ]
+    rng = random.Random(21)
+    for total in (6, 8):
+        cases += [
+            ([(rng.randint(-total - 1, total), rng.randint(-total - 1, total)) for _ in range(total // 2)], total)
+            for _ in range(5000)
+        ]
+        ids = list(range(total))
+        for _ in range(500):
+            rng.shuffle(ids)
+            cases.append((list(zip(ids[0::2], ids[1::2])), total))
+    accepted = 0
+    for pairs, total in cases:
+        got = _read(involution_from_pairs, pairs, total)
+        assert got == _read(_pairs_read_one_by_one, pairs, total), (pairs, total)
+        accepted += type(got[0]) is int
+    assert accepted > 1000
+
+
+def test_pair_reader_returns_int_ids_for_numpy_ids():
+    np = pytest.importorskip("numpy")
+    partner = involution_from_pairs([(np.int64(0), np.int32(3)), (1, np.uint8(2))], 4)
+    assert partner == (3, 2, 1, 0)
+    assert all(type(p) is int for p in partner)
+
+
 # Malformed pairings of a two-edge one-face map (ids 0..5, interior 1..4):
 # the ``alpha`` of a ``decode`` document, the same fault as ``from_np_pairs``
 # interior pairs (None where that entry point supplies the root/plant pair
@@ -466,10 +540,40 @@ def test_malformed_alpha_raises_one_class(case, entry):
         assert str(raised.value) == message
 
 
+def _blocks(sizes):
+    """The (root, plant) of each face block, laid out here from the interior
+    sizes: blocks of ``size + 2`` ids, one after another from 0."""
+    blocks, root = [], 0
+    for size in sizes:
+        blocks.append((root, root + size + 1))
+        root += size + 2
+    return blocks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_layout_matches_blocks_built_here(k):
+    for interior in range(7):
+        for sizes in compositions(interior, k):
+            faces = FaceStructure(sizes)
+            blocks = _blocks(sizes)
+            assert faces.roots == tuple(r for r, _ in blocks)
+            assert faces.plants == tuple(s for _, s in blocks)
+            assert [(faces.root(i), faces.plant(i)) for i in range(k)] == blocks
+            assert faces.np_ids == tuple(h for r, s in blocks for h in range(r + 1, s))
+            for i, (r, s) in enumerate(blocks):
+                assert all(faces.face_of(h) == i for h in range(r, s + 1))
+            for h in (-1, faces.total_half_edges):
+                with pytest.raises(ValidationError, match="out of range"):
+                    faces.face_of(h)
+
+
 def _check_flat_genus(m):
     """The flat vertex count and the vertex labels against the cycles of
     ``sigma``, and ``sigma`` against ``alpha o gamma`` composed here."""
-    reference = tuple(m.alpha[t] for t in m.faces.gamma)
+    gamma = list(range(1, m.total_half_edges + 1))
+    for r, s in _blocks(m.faces.interior_sizes):
+        gamma[s] = r
+    reference = tuple(m.alpha[t] for t in gamma)
     flat_first = CellularMap(m.faces, m.alpha)
     cycles_first = CellularMap(m.faces, m.alpha)
     cycles = cycles_first.vertex_cycles
