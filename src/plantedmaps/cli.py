@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.core import InvariantError, MapError, decode
@@ -118,6 +119,7 @@ def cmd_show(a: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plantedmaps",
@@ -173,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InvariantError as exc:

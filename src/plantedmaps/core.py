@@ -392,8 +392,8 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
     fixed-point free involution.  Asking for exact ``int`` entries sends
     ``bool`` and NumPy ids to the read below, whose ``operator.index`` makes
     them plain ints.  Any input the fill refuses is read again pair by pair,
-    with a range check per id, and :func:`_check_involution` names its
-    fault.
+    with a length check per pair and a range check per id, and
+    :func:`_check_involution` names its fault.
     """
     if 2 * len(pairs) != total:
         raise SizeMismatch(f"alpha has {len(pairs)} pairs, map has {total} half-edges")
@@ -402,13 +402,16 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
         for a, b in pairs:
             partner[a] = b
             partner[b] = a
-    except (IndexError, TypeError):
+    except (IndexError, TypeError, ValueError):
         pass
     else:
         if countOf(map(type, partner), int) == total and sum(partner) == total * (total - 1) // 2:
             return tuple(partner)
     partner = [-1] * total
-    for a, b in pairs:
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids")
+        a, b = pair
         try:
             a, b = index(a), index(b)
         except TypeError:
@@ -432,7 +435,10 @@ def from_np_pairs(
     np_ids = faces.np_ids
     all_pairs = list(zip(faces.roots, faces.plants))
     for pair in pairs:
-        s, t = _integers(pair, "np indices")
+        ints = _integers(pair, "np indices")
+        if len(ints) != 2:
+            raise ValidationError(f"np pair {pair!r} is not two indices")
+        s, t = ints
         if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
         all_pairs.append((np_ids[s - 1], np_ids[t - 1]))
