@@ -10,6 +10,10 @@ and non-plant edge count of the maps themselves, while ``verify`` and
 ``roundtrip`` take the (g, n) indices of the counting identity, which sits
 two genera and two edges below the classified maps (so ``verify --relation
 theorem --max-n 2`` touches one-face maps of genus 2 with 4 edges).
+
+:func:`main` may be called many times in one process.  The parser is built
+on the first call and shared by every later one (``parse_args`` keeps no
+state between calls), so a handler must not change it.
 """
 
 from __future__ import annotations

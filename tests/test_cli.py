@@ -3,7 +3,7 @@ import json
 import pytest
 
 from plantedmaps import bijections, census, partition, roundtrips
-from plantedmaps.cli import main
+from plantedmaps.cli import build_parser, main
 from plantedmaps.core import InvariantError, from_np_pairs
 
 
@@ -151,6 +151,32 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, "classify", "--genus", "2", "--edges", "5")
     _, out2, _ = run(capsys, "classify", "--genus", "2", "--edges", "5")
     assert out1 == out2
+
+
+def test_calls_in_one_process_share_one_parser(capsys):
+    # The parser is built on the first call and reused; a usage error, a
+    # bound error, help and other commands in between leave it as it was.
+    count = ["count", "--kind", "uni", "--edges", "5"]
+    argvs = [
+        count,
+        ["count", "--kind", "quad", "--edges", "2"],
+        ["count", "--kind", "uni", "--edges", "12"],
+        ["--help"],
+        ["roundtrip", "--bijection", "eta1", "--g", "0", "--n", "2"],
+        ["--help"],
+        count,
+    ]
+    codes, outs = [], []
+    for argv in argvs:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        outs.append(capsys.readouterr().out)
+    assert codes == [0, 2, 2, 0, 0, 0, 0]
+    assert outs[0] == outs[6] and "0 5 42" in outs[0].splitlines()
+    assert outs[3] == outs[5] and outs[3].startswith("usage: plantedmaps")
+    assert build_parser() is build_parser()
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):

@@ -399,6 +399,22 @@ def test_non_integral_numbers_are_rejected(call):
 
 
 @pytest.mark.parametrize(
+    "call, pair",
+    [
+        (lambda: from_np_pairs((2,), [(1, 2, 3)]), (1, 2, 3)),
+        (lambda: from_np_pairs((2,), [(1,)]), (1,)),
+        (lambda: involution_from_pairs([(0, 1, 2), (2, 3)], 4), (0, 1, 2)),
+    ],
+    ids=["np_three", "np_one", "pair_three"],
+)
+def test_wrong_length_pairs_are_rejected(call, pair):
+    # Unpacking would raise a bare ValueError, which a caller that catches
+    # MapError misses; the error names the pair.
+    with pytest.raises(ValidationError, match=re.escape(f"pair {pair!r} is not two")):
+        call()
+
+
+@pytest.mark.parametrize(
     "pairs",
     [[(0, True)], [(True, 0)], [(False, True)], [(0, 5), (True, 3), (2, 4)]],
     ids=["bool_partner", "bool_id", "both_bool", "bool_among_ints"],
@@ -416,7 +432,10 @@ def _pairs_read_one_by_one(pairs, total):
     """The pair reader without its one fill: each id read and range checked,
     then the per-id check of the whole array."""
     partner = [-1] * total
-    for a, b in pairs:
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids")
+        a, b = pair
         for h in (a, b):
             if not 0 <= h < total:
                 raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
@@ -435,10 +454,15 @@ def _read(reader, pairs, total):
 
 def test_one_fill_agrees_with_the_pair_by_pair_read():
     # Every pairing of 4 ids drawn from -5..4, and seeded ones of 6 and 8
-    # ids from -9..8: repeated, negative (wrapping or not) and too large ids.
+    # ids from -9..8: repeated, negative (wrapping or not) and too large ids;
+    # and pairs of the wrong length, before and after a faulty pair.
     cases = [
         ([(a, b), (c, d)], 4)
         for a in range(-5, 5) for b in range(-5, 5) for c in range(-5, 5) for d in range(-5, 5)
+    ]
+    cases += [
+        ([(0, 1, 2), (2, 3)], 4), ([(0, 1), (2,)], 4), ([(0, 1), ()], 4),
+        ([(0, 0), (1, 2, 3)], 4), ([(0, 9), (1, 2, 3)], 4), ([(3, 1, 2), (0, 9)], 4),
     ]
     rng = random.Random(21)
     for total in (6, 8):
