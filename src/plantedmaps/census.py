@@ -3,8 +3,8 @@
 One enumerator, :func:`_pairings`, walks the perfect matchings of the
 non-plant half-edges of a face layout in lexicographic order: the smallest
 unmatched id is paired with each larger unmatched id in ascending order.
-The three map streams share it, so streams are reproducible and duplicate
-free.
+The three map streams are its only traffic, so streams are reproducible
+and duplicate free.
 
 :func:`count` visits no matching.  It scans the half-edge positions of
 every face layout at once (a transfer-matrix pass) and merges the pairings
@@ -28,6 +28,7 @@ pass on concrete path ends with a root-cycle tag added to each state
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, prod
@@ -80,56 +81,31 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _pairings(faces: FaceStructure) -> Iterator[list[int]]:
-    """Every pairing of ``faces`` as a partner list over all half-edges.
+    """Every pairing of ``faces`` as a partner list over all half-edges, for
+    the map streams below, its only callers.
 
     The interiors must hold an even number of ids in total.  Roots are
     paired with their plants; the non-plant ids are matched in
-    lexicographic order: the smallest unmatched id is paired with each
-    larger unmatched id in ascending order.  The same list is yielded each
-    time and changed in place between yields, so callers copy what they
-    keep.
+    lexicographic order, recursing on the ids still free.  The same list is
+    yielded each time and changed in place between yields, so callers copy
+    what they keep.
     """
-    ids = faces.np_ids
-    points = len(ids)
     partner = [-1] * faces.total_half_edges
     for r, s in zip(faces.roots, faces.plants):
-        partner[r] = s
-        partner[s] = r
-    if points == 0:
-        yield partner
-        return
-    last = points // 2 - 1
-    # Depth d pairs lo[d], the smallest point left unmatched by depths < d,
-    # with hi[d] (equal to lo[d] before the first choice); both index ``ids``.
-    lo = [0] * (last + 1)
-    hi = [0] * (last + 1)
-    depth = 0
-    while depth >= 0:
-        i, j = lo[depth], hi[depth]
-        a = ids[i]
-        if j != i:
-            partner[ids[j]] = -1
-        j += 1
-        while j < points and partner[ids[j]] >= 0:
-            j += 1
-        if j == points:
-            partner[a] = -1
-            depth -= 1
-            continue
-        b = ids[j]
-        partner[a] = b
-        partner[b] = a
-        if depth == last:
+        partner[r], partner[s] = s, r
+
+    def match(free: tuple[int, ...]) -> Iterator[list[int]]:
+        a = free[0]
+        if len(free) == 2:
+            partner[a], partner[free[1]] = free[1], a
             yield partner
-            partner[a] = partner[b] = -1
-            depth -= 1
-            continue
-        hi[depth] = j
-        i += 1
-        while partner[ids[i]] >= 0:
-            i += 1
-        depth += 1
-        lo[depth] = hi[depth] = i
+            return
+        for j in range(1, len(free)):
+            b = free[j]
+            partner[a], partner[b] = b, a
+            yield from match(free[1:j] + free[j + 1 :])
+
+    yield from match(faces.np_ids) if faces.np_ids else (partner,)
 
 
 def unicellular_stream(n: int) -> Iterator[CellularMap]:
@@ -314,21 +290,10 @@ def _connected_census(k: int, n: int) -> tuple[int, ...]:
 
 @dataclass
 class CountTable:
-    """Exact per-(genus, edge count) map counts; mergeable across edge counts."""
+    """Exact per-(genus, edge count) map counts."""
 
     kind: str
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def add(self, g: int, n: int, count: int) -> None:
-        key = (g, n)
-        self.entries[key] = self.entries.get(key, 0) + count
-
-    def merge(self, other: "CountTable") -> "CountTable":
-        if other.kind != self.kind:
-            raise ValueError(f"cannot merge {other.kind} table into {self.kind} table")
-        for (g, n), c in other.entries.items():
-            self.add(g, n, c)
-        return self
 
     def get(self, g: int, n: int) -> int:
         return self.entries.get((g, n), 0)
@@ -345,8 +310,6 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        import json
-
         table = [{"g": g, "n": n, "count": str(c)} for g, n, c in self.rows()]
         return json.dumps({"kind": self.kind, "table": table}, separators=(",", ":"))
 
@@ -377,9 +340,9 @@ def count(kind: str, n: int) -> CountTable:
 
 
 def count_range(kind: str, n_max: int) -> CountTable:
-    """Merged census table for every edge count up to ``n_max``."""
+    """The disjoint union of the :func:`count` tables for edge counts up to ``n_max``."""
     kind = check_bound(kind, n_max)
-    table = CountTable(kind)
+    entries: dict[tuple[int, int], int] = {}
     for n in range(n_max + 1):
-        table.merge(count(kind, n))
-    return table
+        entries.update(count(kind, n).entries)
+    return CountTable(kind, entries)

@@ -379,6 +379,11 @@ def _rooted(faces: FaceStructure, partner: tuple[int, ...]) -> CellularMap:
     return CellularMap(faces, partner)
 
 
+def _check_pair_count(pairs: int, total: int) -> None:
+    if 2 * pairs != total:
+        raise SizeMismatch(f"alpha has {pairs} pairs, map has {total} half-edges")
+
+
 def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple[int, ...]:
     """The one reader of id pairs: the partner array of ``pairs``, checked to
     be a fixed-point free involution on ``range(total)``.
@@ -395,8 +400,7 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
     with a length check per pair and a range check per id, and
     :func:`_check_involution` names its fault.
     """
-    if 2 * len(pairs) != total:
-        raise SizeMismatch(f"alpha has {len(pairs)} pairs, map has {total} half-edges")
+    _check_pair_count(len(pairs), total)
     partner = [None] * total
     try:
         for a, b in pairs:
@@ -409,9 +413,10 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
             return tuple(partner)
     partner = [-1] * total
     for pair in pairs:
-        if len(pair) != 2:
-            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids")
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids") from None
         try:
             a, b = index(a), index(b)
         except TypeError:
@@ -425,23 +430,25 @@ def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple
     return tuple(partner)
 
 
-def from_np_pairs(
-    interiors: Sequence[int], pairs: Iterable[tuple[int, int]]
-) -> CellularMap:
+def from_np_pairs(interiors: Sequence[int], pairs: Iterable[tuple[int, int]]) -> CellularMap:
     """Build a map from interior sizes and a matching on the non-plant
     half-edges, indexed 1..2n across faces in face order.  Plant pairs are
-    supplied automatically, so each root is paired with its plant."""
+    supplied automatically; the pairs and their count are checked first."""
     faces = FaceStructure(tuple(interiors))
-    np_ids = faces.np_ids
-    all_pairs = list(zip(faces.roots, faces.plants))
+    points = sum(faces.interior_sizes)
+    np_pairs = []
     for pair in pairs:
         ints = _integers(pair, "np indices")
         if len(ints) != 2:
             raise ValidationError(f"np pair {pair!r} is not two indices")
         s, t = ints
-        if not (1 <= s <= len(np_ids) and 1 <= t <= len(np_ids)):
+        if not (1 <= s <= points and 1 <= t <= points):
             raise SizeMismatch(f"np index out of range in pair ({s},{t})")
-        all_pairs.append((np_ids[s - 1], np_ids[t - 1]))
+        np_pairs.append(ints)
+    _check_pair_count(faces.k + len(np_pairs), faces.total_half_edges)
+    np_ids = faces.np_ids
+    all_pairs = list(zip(faces.roots, faces.plants))
+    all_pairs += [(np_ids[s - 1], np_ids[t - 1]) for s, t in np_pairs]
     return _rooted(faces, involution_from_pairs(all_pairs, faces.total_half_edges))
 
 

@@ -246,13 +246,13 @@ def _join(ends: list[int], start: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=None)
 def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
     """For each open chord ``j`` of a scan state with path ends ``ends``, the
     ends after the current position closes it (later chords renumbered) and
-    1 if that closes a sigma-cycle.  The leaf pass reads its close moves
-    here, since its tag names chords; the bound holds every ``ends`` of
-    ``verify --relation theorem --max-n 8``."""
+    1 if that closes a sigma-cycle.  The leaf pass, whose tag names chords,
+    is the only reader; its bound keeps the cache finite (20 365 ``ends`` at
+    ``classify --genus 2 --edges 11``)."""
     moves = []
     for j in range(len(ends) - 1):
         path = list(ends)

@@ -330,8 +330,3 @@ def test_count_range_merges_tables():
     assert tbl.get(0, 0) == 1
     assert tbl.get(1, 3) == 10
     assert tbl.total(2) == 3
-
-
-def test_merge_rejects_kind_mismatch():
-    with pytest.raises(ValueError):
-        count("unicellular", 1).merge(count("bicellular", 1))

@@ -342,6 +342,21 @@ def test_decode_checks_sizes_before_allocating():
         decode('{"k":2,"interiors":[-2,4],"alpha":[[0,1],[2,3]]}')
 
 
+def test_from_np_pairs_checks_pairs_before_laying_out_ids(monkeypatch):
+    # The tuple of non-plant ids is as long as the map: a short pair list
+    # for a large map is refused without it.
+    def unread(faces):
+        raise AssertionError("np_ids read before the pairs were checked")
+
+    monkeypatch.setattr(FaceStructure, "np_ids", property(unread))
+    with pytest.raises(SizeMismatch, match="^alpha has 1 pairs, map has 10000002 half-edges$"):
+        from_np_pairs((10**7,), [])
+    with pytest.raises(SizeMismatch, match="np index out of range"):
+        from_np_pairs((10**7,), [(1, 10**7 + 1)])
+    with pytest.raises(ValidationError, match="is not two indices"):
+        from_np_pairs((10**7,), [(1, 2, 3)])
+
+
 def test_kind_tags():
     assert EPS.kind() == "unicellular"
     assert mk((1, 1, 2), (1, 3), (2, 4)).kind() == "tricellular"
@@ -404,12 +419,14 @@ def test_non_integral_numbers_are_rejected(call):
         (lambda: from_np_pairs((2,), [(1, 2, 3)]), (1, 2, 3)),
         (lambda: from_np_pairs((2,), [(1,)]), (1,)),
         (lambda: involution_from_pairs([(0, 1, 2), (2, 3)], 4), (0, 1, 2)),
+        (lambda: involution_from_pairs([5, (1, 2)], 4), 5),
+        (lambda: involution_from_pairs([None, (1, 2)], 4), None),
     ],
-    ids=["np_three", "np_one", "pair_three"],
+    ids=["np_three", "np_one", "pair_three", "pair_int", "pair_none"],
 )
 def test_wrong_length_pairs_are_rejected(call, pair):
-    # Unpacking would raise a bare ValueError, which a caller that catches
-    # MapError misses; the error names the pair.
+    # Unpacking would raise a bare ValueError or TypeError, which a caller
+    # that catches MapError misses; the error names the pair.
     with pytest.raises(ValidationError, match=re.escape(f"pair {pair!r} is not two")):
         call()
 
@@ -433,9 +450,10 @@ def _pairs_read_one_by_one(pairs, total):
     then the per-id check of the whole array."""
     partner = [-1] * total
     for pair in pairs:
-        if len(pair) != 2:
-            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids")
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"alpha pair {pair!r} is not two half-edge ids") from None
         for h in (a, b):
             if not 0 <= h < total:
                 raise SizeMismatch(f"half-edge id {h} out of range 0..{total - 1}")
@@ -463,6 +481,7 @@ def test_one_fill_agrees_with_the_pair_by_pair_read():
     cases += [
         ([(0, 1, 2), (2, 3)], 4), ([(0, 1), (2,)], 4), ([(0, 1), ()], 4),
         ([(0, 0), (1, 2, 3)], 4), ([(0, 9), (1, 2, 3)], 4), ([(3, 1, 2), (0, 9)], 4),
+        ([5, (1, 2)], 4), ([None, (1, 2)], 4), ([(0, 9), 5], 4),
     ]
     rng = random.Random(21)
     for total in (6, 8):
