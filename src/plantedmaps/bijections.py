@@ -28,7 +28,7 @@ All of these raise :class:`~plantedmaps.core.InvariantError`, also under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from plantedmaps.core import (
     CellularMap,
@@ -37,6 +37,8 @@ from plantedmaps.core import (
     ValidationError,
     _build,
     _integers,
+    _Record,
+    _set,
     check_invariant,
 )
 from plantedmaps.partition import (
@@ -80,14 +82,16 @@ class MarkOrder(MapError):
     pass
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(_Record):
     """Three-face map produced by a cut, with the record of which input ids
     became plants (second and third root-vertex half-edges, then the original
     plant)."""
 
-    map: CellularMap
-    became_plants: tuple[int, int, int]
+    _fields = ("map", "became_plants")
+
+    def __init__(self, map: CellularMap, became_plants: tuple[int, int, int]):
+        _set(self, "map", map)
+        _set(self, "became_plants", became_plants)
 
 
 def _cut_words(u: CellularMap, h2: int, h3: int) -> tuple[range, range, tuple[int, ...]]:
@@ -155,6 +159,18 @@ def _marks(u: CellularMap, x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
+def _same_vertex(alpha: Sequence[int], a: int, b: int) -> bool:
+    """Whether ids ``a`` and ``b`` of a one-face map (the root or interior
+    ids) lie in one vertex: the sigma-cycle through ``a``, walked as
+    ``sigma(h) = alpha[h + 1]``, meets ``b`` before it returns to ``a``."""
+    h = a
+    while h != b:
+        h = alpha[h + 1]
+        if h == a:
+            return False
+    return True
+
+
 def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[int, int]]:
     """Remove a one-sided edge whose endpoints lie in distinct vertices.
 
@@ -173,7 +189,7 @@ def contract(u: CellularMap, edge: tuple[int, int]) -> tuple[CellularMap, tuple[
         raise EdgeIsPlant(f"({a},{b}) touches the plant edge")
     if u.alpha[a] != b:
         raise ValidationError(f"({a},{b}) is not an edge of the map")
-    if u.vertex_of[a] == u.vertex_of[b]:
+    if _same_vertex(u.alpha, a, b):
         raise SameVertex(f"both ends of ({a},{b}) meet the same vertex")
     out = _build(u.alpha, ([*range(a), *range(a + 1, b), *range(b + 1, last + 2)],))
     check_invariant(out.genus() == u.genus(), "contract must keep the genus")
@@ -191,7 +207,7 @@ def insert_edge(u: CellularMap, x: int, y: int) -> CellularMap:
     if u.k != 1:
         raise ValidationError("insert_edge expects a one-face map")
     x, y = _marks(u, x, y)
-    if u.vertex_of[x] != u.vertex_of[y]:
+    if not _same_vertex(u.alpha, x, y):
         raise ValidationError("marks must lie in one vertex")
     ids = range(2 * u.np_edge_count + 2)
     a = len(u.alpha)  # the new pair is (a, a + 1)

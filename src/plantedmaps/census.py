@@ -29,12 +29,11 @@ pass on concrete path ends with a root-cycle tag added to each state
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterator
 
-from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, check_invariant
+from plantedmaps.core import BoundExceeded, CellularMap, FaceStructure, _Record, check_invariant
 
 #: Per-kind bounds on the non-plant edge count of :func:`count`, the
 #: partition histogram and the theorem check (desk scale).
@@ -288,12 +287,17 @@ def _connected_census(k: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
-class CountTable:
-    """Exact per-(genus, edge count) map counts."""
+class CountTable(_Record):
+    """Exact per-(genus, edge count) map counts; mutable, and so unhashable."""
 
-    kind: str
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    _fields = ("kind", "entries")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, kind: str, entries: dict[tuple[int, int], int] | None = None):
+        self.kind = kind
+        self.entries = {} if entries is None else entries
 
     def get(self, g: int, n: int) -> int:
         return self.entries.get((g, n), 0)

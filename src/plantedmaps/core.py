@@ -34,17 +34,21 @@ from input.  One reader, :func:`involution_from_pairs`, turns the id pairs
 of :func:`decode` and :func:`from_np_pairs` into a partner array: it fills
 the array in one pass and calls the check only to name the fault of an
 input that fill refuses.
+
+The package imports neither ``dataclasses`` nor ``typing``: the first loads
+``inspect`` and ``ast``, and with the second they cost each short command
+more than its own work.  Records are plain classes on :class:`_Record`, and
+annotations name :mod:`collections.abc`.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from operator import countOf, index
-from typing import Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -109,29 +113,69 @@ def check_invariant(ok: bool, message: str) -> None:
         raise InvariantError(message)
 
 
-@dataclass(frozen=True)
-class FaceStructure:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's record classes: frozen instances, and a repr,
+    an equality and a hash over the fields named in ``_fields``, in the
+    forms ``@dataclass`` writes.  The records on hot paths write their own
+    equality and hash.  Fields are set through ``_set`` in ``__init__``;
+    setting or deleting an attribute afterwards raises ``AttributeError``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FaceStructure(_Record):
     """Face layout of a planted map.
 
     ``interior_sizes[i]`` is the number of non-plant half-edges in face ``i``;
     each face additionally carries its root/plant pair, so face ``i``
-    occupies a block of ``interior_sizes[i] + 2`` consecutive ids.
+    occupies a block of ``interior_sizes[i] + 2`` consecutive ids.  ``k``
+    and ``total_half_edges`` are derived once, here; only
+    ``interior_sizes`` is compared.
     """
 
-    interior_sizes: tuple[int, ...]
-    # Derived from ``interior_sizes`` once, in ``__post_init__``.
-    k: int = field(init=False, repr=False, compare=False)
-    total_half_edges: int = field(init=False, repr=False, compare=False)
+    _fields = ("interior_sizes",)
 
-    def __post_init__(self):
-        sizes = _integers(self.interior_sizes, "interior sizes")
-        object.__setattr__(self, "interior_sizes", sizes)
+    def __init__(self, interior_sizes: Iterable[int]):
+        sizes = _integers(interior_sizes, "interior sizes")
         if not 1 <= len(sizes) <= 3:
             raise ValidationError(f"face count must be between 1 and 3, got {len(sizes)}")
         if any(s < 0 for s in sizes):
             raise ValidationError(f"interior sizes must be non-negative, got {sizes}")
-        object.__setattr__(self, "k", len(sizes))
-        object.__setattr__(self, "total_half_edges", sum(sizes) + 2 * len(sizes))
+        _set(self, "interior_sizes", sizes)
+        _set(self, "k", len(sizes))
+        _set(self, "total_half_edges", sum(sizes) + 2 * len(sizes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.interior_sizes == other.interior_sizes
+
+    def __hash__(self) -> int:
+        return hash((self.interior_sizes,))
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
@@ -161,8 +205,7 @@ class FaceStructure:
         return tuple(chain.from_iterable(range(r + 1, s) for r, s in zip(self.roots, self.plants)))
 
 
-@dataclass(frozen=True)
-class CellularMap:
+class CellularMap(_Record):
     """A planted cellular map: face layout plus half-edge pairing.
 
     Instances are immutable; all derived structure (``sigma``, vertices,
@@ -170,8 +213,19 @@ class CellularMap:
     :func:`validate` to construct a checked instance.
     """
 
-    faces: FaceStructure
-    alpha: tuple[int, ...]
+    def __init__(self, faces: FaceStructure, alpha: tuple[int, ...]):
+        _set(self, "faces", faces)
+        _set(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Maps of one layout mostly share one FaceStructure object.
+        faces = self.faces
+        return self.alpha == other.alpha and (faces is other.faces or faces == other.faces)
+
+    def __hash__(self) -> int:
+        return hash((self.faces, self.alpha))
 
     @property
     def k(self) -> int:

@@ -33,12 +33,11 @@ scan on concrete path ends, with a tag that follows the root cycle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from plantedmaps.census import N_MAX, _genus_of_closed, _slot_width, _unpack
-from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed
+from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed, _Record, _set
 from plantedmaps.core import ValidationError, check_invariant
 
 LEAVES = ("U1", "U2", "G23", "G24", "F51", "F52", "F53", "F54", "II", "B")
@@ -55,30 +54,48 @@ class WrongScenario(MapError):
     pass
 
 
-@dataclass(frozen=True)
-class V1Profile:
+class V1Profile(_Record):
     """Root vertex data: its degree and its second/third half-edges.
 
     ``third`` is ``None`` when the degree is 2.  Under the canonical
     labelling ids are face-order positions, so the two ids compare directly.
     """
 
-    degree: int
-    second: int
-    third: int | None
+    _fields = ("degree", "second", "third")
+
+    def __init__(self, degree: int, second: int, third: int | None):
+        _set(self, "degree", degree)
+        _set(self, "second", second)
+        _set(self, "third", third)
 
 
-@dataclass(frozen=True)
-class PartitionClass:
+class PartitionClass(_Record):
     """Leaf label plus the pendant-branch flags used by the finer classes.
 
     ``first_pendant``/``second_pendant`` record whether branch 1/2 consists
-    of exactly one pair; they matter on leaves U2 and G23.
+    of exactly one pair; they matter on leaves U2 and G23.  Never equal to a
+    tuple: the leaf pass keys its tags, tuples until the leaf is known, in
+    one dict.
     """
 
-    leaf: str
-    first_pendant: bool = False
-    second_pendant: bool = False
+    _fields = ("leaf", "first_pendant", "second_pendant")
+
+    def __init__(self, leaf: str, first_pendant: bool = False, second_pendant: bool = False):
+        _set(self, "leaf", leaf)
+        _set(self, "first_pendant", first_pendant)
+        _set(self, "second_pendant", second_pendant)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.leaf == other.leaf
+            and self.first_pendant == other.first_pendant
+            and self.second_pendant == other.second_pendant
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.leaf, self.first_pendant, self.second_pendant))
 
 
 _pc = lru_cache(maxsize=None)(PartitionClass)  # immutable: each class is built once
@@ -189,15 +206,18 @@ def classify(u: CellularMap) -> PartitionClass:
     return _classify(u.alpha)
 
 
-@dataclass(frozen=True)
-class PartitionHistogram:
+class PartitionHistogram(_Record):
     """Per-leaf cardinalities of one genus bucket, then the size of each of
-    :data:`PENDANT_DOMAINS`, keyed in that order."""
+    :data:`PENDANT_DOMAINS`, keyed in that order.  Its dicts make it
+    unhashable."""
 
-    g: int
-    n: int
-    classes: dict[str, int]
-    pendants: dict[str, int]
+    _fields = ("g", "n", "classes", "pendants")
+
+    def __init__(self, g: int, n: int, classes: dict[str, int], pendants: dict[str, int]):
+        _set(self, "g", g)
+        _set(self, "n", n)
+        _set(self, "classes", classes)
+        _set(self, "pendants", pendants)
 
     @property
     def total(self) -> int:
