@@ -97,6 +97,22 @@ def test_contract_insert_roundtrip_all_pairs_small():
                     assert back == u and marks == (x, y)
 
 
+def test_same_vertex_walk_matches_the_vertex_labels():
+    # Every ordered pair of root and interior ids of every one-face map with
+    # 1 <= n <= 4 (9 324 pairs).
+    from plantedmaps.census import unicellular_stream
+
+    pairs = 0
+    for n in range(1, 5):
+        for u in unicellular_stream(n):
+            vo = u.vertex_of
+            for a in range(2 * n + 1):
+                for b in range(2 * n + 1):
+                    assert bij._same_vertex(u.alpha, a, b) == (vo[a] == vo[b]), (u, a, b)
+                    pairs += 1
+    assert pairs == 9324
+
+
 def test_delete_pair_examples():
     out, marks = bij.delete_pair(M4)
     assert out == M2 and marks == (2, 2)

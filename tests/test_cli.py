@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plantedmaps
 from plantedmaps import bijections, census, partition, roundtrips
 from plantedmaps.cli import build_parser, main
 from plantedmaps.core import InvariantError, from_np_pairs
@@ -177,6 +181,23 @@ def test_calls_in_one_process_share_one_parser(capsys):
     assert outs[0] == outs[6] and "0 5 42" in outs[0].splitlines()
     assert outs[3] == outs[5] and outs[3].startswith("usage: plantedmaps")
     assert build_parser() is build_parser()
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # Each of these costs every short command milliseconds before any work.
+    # No site (-S): a .pth file may import typing on its own.
+    src = str(Path(plantedmaps.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import plantedmaps.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):

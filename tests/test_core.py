@@ -384,6 +384,63 @@ def test_maps_are_hashable_values():
     b = uni(2, (1, 3), (2, 4))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    # Equal over a distinct but equal layout; never equal to its fields as a tuple.
+    c = CellularMap(FaceStructure([4]), tuple(a.alpha))
+    assert c.faces is not a.faces and c == a and hash(c) == hash(a)
+    assert a != (a.faces, a.alpha) and (a.faces, a.alpha) != a
+    assert a != uni(2, (1, 2), (3, 4)) and a != mk((2, 2), (1, 3), (2, 4))
+    assert CellularMap(FaceStructure((0, 2)), a.alpha) != a  # unchecked; the layout counts too
+    f = FaceStructure((2, 1))
+    assert f == FaceStructure([2, 1]) and hash(f) == hash(FaceStructure([2, 1]))
+    assert f != FaceStructure((1, 2)) and f != (2, 1)
+
+
+def test_records_keep_their_repr_equality_and_immutability():
+    from plantedmaps.bijections import CutResult, cut
+    from plantedmaps.census import CountTable, count
+    from plantedmaps.partition import PartitionClass, V1Profile, histogram
+
+    pc = PartitionClass("G24", second_pendant=True)
+    assert pc == PartitionClass("G24", False, True) and hash(pc) == hash(PartitionClass("G24", 0, 1))
+    assert pc != ("G24", False, True) and pc != PartitionClass("G24")
+    assert repr(PartitionClass("B")) == (
+        "PartitionClass(leaf='B', first_pendant=False, second_pendant=False)"
+    )
+    assert repr(FaceStructure((2, 1))) == "FaceStructure(interior_sizes=(2, 1))"
+    assert repr(PENDANT) == "CellularMap(interiors=(2,), pairs=[(1,2)])"
+    v = V1Profile(2, 3, None)
+    assert repr(v) == "V1Profile(degree=2, second=3, third=None)"
+    assert v == V1Profile(2, 3, None) and hash(v) == hash(V1Profile(2, 3, None))
+    h = histogram(0, 0)
+    assert repr(h) == (
+        "PartitionHistogram(g=0, n=0, classes={'U1': 0, 'U2': 0, 'G23': 0, 'G24': 0, 'F51': 0, "
+        "'F52': 0, 'F53': 0, 'F54': 0, 'II': 0, 'B': 0}, pendants={'U2_first': 0, "
+        "'U2_second': 0, 'G23_second': 0})"
+    )
+    assert h == histogram(0, 0)
+    with pytest.raises(TypeError):
+        hash(h)
+    m = uni(4, (1, 4), (2, 6), (3, 8), (5, 7))
+    res = cut(m)
+    assert res == CutResult(res.map, (4, 7, 9))
+    assert hash(res) == hash(CutResult(res.map, (4, 7, 9)))
+    assert repr(res) == f"CutResult(map={res.map!r}, became_plants=(4, 7, 9))"
+    frozen = [(FaceStructure((2,)), "k"), (PENDANT, "alpha"), (v, "third"), (pc, "leaf"),
+              (h, "g"), (res, "map")]
+    for record, name in frozen:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    table = count("uni", 2)
+    assert repr(table) == "CountTable(kind='unicellular', entries={(0, 2): 2, (1, 2): 1})"
+    assert table == CountTable("unicellular", {(0, 2): 2, (1, 2): 1})
+    assert CountTable("bicellular").entries == {}
+    table.kind = "bicellular"
+    table.entries[(0, 3)] = 5
+    assert table.get(0, 3) == 5 and table.kind == "bicellular"
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_from_np_pairs_rejects_bad_index():
