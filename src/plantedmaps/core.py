@@ -15,7 +15,10 @@ and the face of an id are read from it.
 Inside a block ``gamma(h) = h + 1``, so ``sigma`` is read from slices of
 ``alpha`` without building ``gamma``.  Each map's genus is counted once, from
 the number of ``sigma`` cycles, by a flat walk that labels each half-edge
-with its cycle and stores no cycle.  The labels
+with its cycle and stores no cycle.  The count is kept in the instance dict
+by a plain property (:attr:`CellularMap.vertex_count`), not a
+``cached_property``, whose first read takes a lock on Python 3.10 and 3.11;
+the genus of a one-face map does not ask for connectivity.  The labels
 (:attr:`CellularMap.vertex_of`) are kept only when a caller asks for them,
 and the cycle tuples (:attr:`CellularMap.vertex_cycles`) are built only for
 ``show``.  Connectivity needs no ``sigma``: it is read from the closure of
@@ -26,14 +29,16 @@ the face blocks under ``alpha`` (:attr:`CellularMap.is_connected`).
 Storing ``alpha`` as a partner array over a dense id range gives O(1) edge
 lookups and keeps exhaustive enumeration cache friendly.
 
-One builder, :func:`_build`, relabels face words written root to plant by
-position; the surgeries of :mod:`plantedmaps.bijections` and
-:func:`canonicalize` share it, each picking the error class it raises.  One
-per-id check, :func:`_check_involution`, serves every partner array read
-from input.  One reader, :func:`involution_from_pairs`, turns the id pairs
-of :func:`decode` and :func:`from_np_pairs` into a partner array: it fills
-the array in one pass and calls the check only to name the fault of an
-input that fill refuses.
+One builder, :func:`_build`, relabels the surgeries' face words, written
+root to plant, by position.  Their ids are dense, so it relabels through a
+list indexed by id; :func:`canonicalize`, whose ids are arbitrary, maps them
+to positions through a dict itself.  One per-id check,
+:func:`_check_involution`, serves every partner array read from input.  One
+fill, :func:`_fill`, turns the id pairs of :func:`decode` and
+:func:`from_np_pairs` into a partner array in one pass; an input it refuses
+is read again pair by pair (:func:`_read_pairs`), and the check names its
+fault.  A successful fill also proves each pair's shape, so :func:`decode`
+reads the shapes of its JSON pairs only when the fill refuses.
 
 The package imports neither ``dataclasses`` nor ``typing``: the first loads
 ``inspect`` and ``ast``, and with the second they cost each short command
@@ -225,7 +230,7 @@ class CellularMap(_Record):
         return self.alpha == other.alpha and (faces is other.faces or faces == other.faces)
 
     def __hash__(self) -> int:
-        return hash((self.faces, self.alpha))
+        return hash((self.faces.interior_sizes, self.alpha))
 
     @property
     def k(self) -> int:
@@ -269,11 +274,16 @@ class CellularMap(_Record):
             cycles.append(tuple(cyc))
         return tuple(cycles)
 
-    @cached_property
+    @property
     def vertex_count(self) -> int:
         """Number of vertices (``sigma`` cycles, plants included), counted
-        by :func:`_label_vertices` without storing a cycle."""
-        return _label_vertices(_sigma(self.faces, self.alpha))[1]
+        once by :func:`_label_vertices` without storing a cycle; kept in the
+        instance dict by hand, with no ``cached_property`` lock."""
+        memo = self.__dict__
+        v = memo.get("_vertex_count")
+        if v is None:
+            v = memo["_vertex_count"] = _label_vertices(_sigma(self.faces, self.alpha))[1]
+        return v
 
     @cached_property
     def vertex_of(self) -> tuple[int, ...]:
@@ -319,7 +329,7 @@ class CellularMap(_Record):
 
     def genus(self) -> int:
         """Topological genus via ``2 - 2g = V - E + k`` (plants included)."""
-        if not self.is_connected:
+        if self.faces.k > 1 and not self.is_connected:
             raise Disconnected("genus requires a connected map")
         g = self.aggregate_genus()
         if g < 0:
@@ -440,31 +450,52 @@ def _check_pair_count(pairs: int, total: int) -> None:
 
 def involution_from_pairs(pairs: Sequence[tuple[int, int]], total: int) -> tuple[int, ...]:
     """The one reader of id pairs: the partner array of ``pairs``, checked to
-    be a fixed-point free involution on ``range(total)``.
-
-    The pair count is checked before anything is allocated.  Then one fill,
-    exact by counting.  The array starts as ``None``; ``total`` writes that
-    raise nothing and leave an ``int`` in every slot wrote each slot exactly
-    once, a negative id ``a`` at slot ``a + total``.  So the ids sum to
-    ``total * (total - 1) // 2``, less ``total`` for each negative id; with
-    that sum no id is negative, none appears twice, and the array is a
-    fixed-point free involution.  Asking for exact ``int`` entries sends
-    ``bool`` and NumPy ids to the read below, whose ``operator.index`` makes
-    them plain ints.  Any input the fill refuses is read again pair by pair,
-    with a length check per pair and a range check per id, and
-    :func:`_check_involution` names its fault.
-    """
+    be a fixed-point free involution on ``range(total)``.  The pair count is
+    checked before anything is allocated; then :func:`_fill`, and
+    :func:`_read_pairs` for an input the fill refuses."""
     _check_pair_count(len(pairs), total)
+    partner = _fill(pairs, total)
+    return _read_pairs(pairs, total) if partner is None else partner
+
+
+def _fill(pairs: Iterable, total: int) -> tuple[int, ...] | None:
+    """The one fill: the partner array of ``pairs`` when they pair
+    ``range(total)`` as a fixed-point free involution of exact ``int`` ids,
+    else ``None``.  The caller has checked ``2 * len(pairs) == total``.
+
+    The fill is exact by counting.  The array starts as ``None``; ``total``
+    writes that raise nothing and leave an ``int`` in every slot wrote each
+    slot exactly once, a negative id ``a`` at slot ``a + total``.  So the ids
+    sum to ``total * (total - 1) // 2``, less ``total`` for each negative id;
+    with that sum no id is negative, none appears twice, and the array is a
+    fixed-point free involution.  Asking for exact ``int`` entries sends
+    ``bool`` and NumPy ids to :func:`_read_pairs`, whose ``operator.index``
+    makes them plain ints.
+
+    A fill that succeeds also proves the shape of each pair, which is why
+    :func:`decode` reads the pair shapes only when the fill refuses.  Each
+    slot was written exactly once, so every value written survives: both
+    items of every pair are in the array, and so each is of type ``int``.
+    A JSON value that unpacks into two items is a two-element list, a
+    string of two characters or an object with two keys; only the list can
+    hold items that index a list.  So each pair is a two-element list of
+    ``int`` ids, which is all the shape check asks.
+    """
     partner = [None] * total
     try:
         for a, b in pairs:
             partner[a] = b
             partner[b] = a
     except (IndexError, TypeError, ValueError):
-        pass
-    else:
-        if countOf(map(type, partner), int) == total and sum(partner) == total * (total - 1) // 2:
-            return tuple(partner)
+        return None
+    if countOf(map(type, partner), int) == total and sum(partner) == total * (total - 1) // 2:
+        return tuple(partner)
+    return None
+
+
+def _read_pairs(pairs: Iterable, total: int) -> tuple[int, ...]:
+    """The pair-by-pair read: a length check per pair and a range check per
+    id, then :func:`_check_involution` names the fault of the array."""
     partner = [-1] * total
     for pair in pairs:
         try:
@@ -514,32 +545,30 @@ def _layout(lengths: tuple[int, ...]) -> FaceStructure:
     return FaceStructure(tuple(length - 2 for length in lengths))
 
 
-def _build(
-    alpha: Sequence[int] | Mapping[int, int],
-    words: Sequence[Sequence[int]],
-    error: type[MapError] = InvariantError,
-) -> CellularMap:
+def _build(alpha: Sequence[int], words: Sequence[Sequence[int]]) -> CellularMap:
     """The map whose faces read ``words``, each from its root to its plant.
 
     Every id keeps its ``alpha`` partner, relabelled by its position in the
-    concatenated words.  A surgery that adds half-edges gives them the ids
-    past the end of its input's ``alpha`` and appends their partners.  Raises
-    ``error`` (a surgery's :class:`InvariantError`, or an input error class)
-    when an id appears twice, when the words are not closed under ``alpha``
-    or when a root is not paired with its plant.
+    concatenated words.  The ids are dense: those of the input's ``alpha``,
+    and a surgery that adds half-edges gives them the ids past its end and
+    appends their partners.  So the relabel is a list indexed by id, ``-1``
+    where an id is in no word.  Raises :class:`InvariantError` when an id
+    appears twice, when the words are not closed under ``alpha`` or when a
+    root is not paired with its plant.
     """
     seq = words[0] if len(words) == 1 else list(chain.from_iterable(words))
-    new_of = {old: new for new, old in enumerate(seq)}
-    if len(new_of) != len(seq):
-        raise error("a half-edge appears in two face positions")
-    try:
-        partner = tuple([new_of[alpha[h]] for h in seq])
-    except KeyError:
-        raise error("the face words are not closed under the pairing") from None
+    new_of = [-1] * len(alpha)
+    for new, old in enumerate(seq):
+        new_of[old] = new
+    if countOf(new_of, -1) != len(alpha) - len(seq):
+        raise InvariantError("a half-edge appears in two face positions")
+    partner = tuple([new_of[alpha[h]] for h in seq])
+    if -1 in partner:
+        raise InvariantError("the face words are not closed under the pairing")
     faces = _layout(tuple(map(len, words)))
     for r, s in zip(faces.roots, faces.plants):
         if partner[r] != s:
-            raise error("a face root is not paired with its plant")
+            raise InvariantError("a face root is not paired with its plant")
     return CellularMap(faces, partner)
 
 
@@ -554,7 +583,8 @@ def canonicalize(
     element and must be paired with the first).  The relabeling is
     order-isomorphic: position in the concatenated cycles becomes the new id.
     Two inputs yield equal maps exactly when they are identical as labelled
-    planted maps.  :func:`_build` relabels; its faults raise :class:`SizeMismatch`.
+    planted maps.  The ids are arbitrary, so they are mapped to their
+    positions through a dict; every fault raises a :class:`ValidationError`.
     """
     cycles = [tuple(c) for c in cycles]
     if len(cycles) != k:
@@ -570,9 +600,15 @@ def canonicalize(
             raise PlantNotPairedWithRoot(
                 f"cycle starting at {c[0]} ends at {c[-1]}, not at its root's partner"
             )
-    m = _build(alpha, cycles, SizeMismatch)
-    _check_involution(m.alpha, ids)
-    return m
+    position = {h: i for i, h in enumerate(ids)}
+    if len(position) != len(ids):
+        raise SizeMismatch("a half-edge appears in two face positions")
+    try:
+        partner = tuple([position[alpha[h]] for h in ids])
+    except KeyError:
+        raise SizeMismatch("the face words are not closed under the pairing") from None
+    _check_involution(partner, ids)
+    return CellularMap(_layout(tuple(map(len, cycles))), partner)
 
 
 def decode(text: str) -> CellularMap:
@@ -603,8 +639,16 @@ def decode(text: str) -> CellularMap:
         raise ParseError("k must equal the number of interior sizes")
     if not isinstance(alpha_pairs, list):
         raise ParseError("alpha must be a list of id pairs")
-    for p in alpha_pairs:
-        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
-            raise ParseError("alpha must be a list of id pairs")
+    # The count first, so a wrong one allocates nothing; its error is still
+    # raised after the shape and layout errors.
+    total = sum(interiors) + 2 * k
+    partner = _fill(alpha_pairs, total) if 2 * len(alpha_pairs) == total else None
+    if partner is None:
+        for p in alpha_pairs:
+            if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+                raise ParseError("alpha must be a list of id pairs")
     faces = _layout(tuple(s + 2 for s in interiors))
-    return _rooted(faces, involution_from_pairs(alpha_pairs, faces.total_half_edges))
+    if partner is None:
+        _check_pair_count(len(alpha_pairs), total)
+        partner = _read_pairs(alpha_pairs, total)
+    return _rooted(faces, partner)

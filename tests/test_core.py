@@ -24,7 +24,7 @@ from plantedmaps.core import (
     involution_from_pairs,
     validate,
 )
-from plantedmaps import bijections
+from plantedmaps import bijections, core
 from plantedmaps.census import (
     _cellular_stream,
     bicellular_stream,
@@ -101,6 +101,27 @@ def test_vertices_planar_two_chords():
 )
 def test_genus(m, genus):
     assert m.genus() == genus
+
+
+def test_each_map_is_walked_once(monkeypatch):
+    # The vertex count is kept on the map: the genus, the aggregate genus and
+    # the count read one walk between them.
+    walks = []
+    walk = core._label_vertices
+
+    def counted(sigma):
+        walks.append(len(sigma))
+        return walk(sigma)
+
+    monkeypatch.setattr(core, "_label_vertices", counted)
+    for m, genus in ((uni(2, (1, 3), (2, 4)), 1), (mk((1, 1), (1, 2)), 0), (mk((1, 1, 2), (1, 3), (2, 4)), 0)):
+        walks.clear()
+        assert m.genus() == genus and m.aggregate_genus() == genus
+        assert m.vertex_count == m.total_half_edges // 2 - m.k + 2 - 2 * genus
+        assert m.genus() == genus
+        assert walks == [m.total_half_edges]
+        # One face is always connected; the genus does not ask.
+        assert ("is_connected" in m.__dict__) == (m.k > 1)
 
 
 def test_unicellular_always_connected():
@@ -318,6 +339,19 @@ def test_decode_reports_pair_shape_before_size():
             decode('{"k":1,"interiors":[4],"alpha":%s}' % pairs)
     with pytest.raises(SizeMismatch):
         decode('{"k":1,"interiors":[4],"alpha":[[0,5],[1,2]]}')
+    # The count is right: the one fill refuses these, and the shapes are read
+    # before the pairs are read one by one.
+    for pairs in (
+        '[[0,5],[1,2],[3,4,4]]', '[[0,5],[true,2],[3,4]]', '[[0,5],[1,true],[2,3]]',
+        '[[0,5],[1,2],[3,"4"]]', '[[0,5],[1,2],"34"]', '[[0,5],[1,2],{"a":3,"b":4}]',
+        '[[0,5],[1,2],[3,4.0]]',
+    ):
+        with pytest.raises(ParseError, match="^alpha must be a list of id pairs$"):
+            decode('{"k":1,"interiors":[4],"alpha":%s}' % pairs)
+    with pytest.raises(HasFixedPoint, match="^alpha fixes half-edge 3$"):
+        decode('{"k":1,"interiors":[4],"alpha":[[0,5],[1,2],[3,3]]}')
+    with pytest.raises(SizeMismatch, match=r"^half-edge id -2 out of range 0\.\.5$"):
+        decode('{"k":1,"interiors":[4],"alpha":[[0,5],[1,2],[3,-2]]}')
 
 
 def test_decode_rejects_json_booleans():
