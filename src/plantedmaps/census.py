@@ -24,6 +24,17 @@ cycle number (:func:`_slot_width`), so that merging two states is one
 addition.  Counting is exact.  The partition histogram runs the one-face
 pass on concrete path ends with a root-cycle tag added to each state
 (:func:`plantedmaps.partition._census_class_counts`).
+
+One pass serves every smaller size.  The pairings of ``a <= n`` edges are
+the prefixes that stand at position ``2a`` with every face begun and no
+chord open.  A pass to ``2n`` prunes an opening only when the chords then
+open cannot all close by ``2n``; a prefix that closes them all by ``2a``
+never meets that, so the pass to ``2n`` keeps every prefix of the pass to
+``2a`` with the same moves and the same cycles closed, and its slot width
+holds their counts (:func:`_slot_width`).  So :func:`_cycle_census` keeps
+the largest pass per face count, the leaf pass reads its smaller sizes off
+the same way (:func:`plantedmaps.partition._leaf_pass`), and the range
+drivers ask for their largest size first.
 """
 
 from __future__ import annotations
@@ -155,6 +166,10 @@ def _slot_width(k: int, n: int) -> int:
     ``L`` distinct path-end moves there, so its slots still count distinct
     kept prefixes.  A slot as wide as that number's bit length holds any
     such count, so slots never carry into each other.
+
+    A smaller size ``a`` read off the pass to ``n`` is a state of that same
+    pass at position ``2a``, so this bound covers it too: one width packs
+    and unpacks every size a pass serves, with no carry between slots.
     """
     pairs = comb(2 * n + k - 1, k - 1) * prod(range(1, 2 * n, 2))
     return pairs.bit_length()
@@ -216,34 +231,41 @@ def _class_moves(state: _Class):
     return end, (l0 + 1, parts), tuple(closes)
 
 
-@lru_cache(maxsize=None)
-def _cycle_census(k: int, n: int) -> tuple[int, ...]:
-    """Every ``k``-face pairing with ``n`` non-plant edges, connected or
-    not, summed over every face layout, counted by the number of
-    sigma-cycles closed before the last face ends.
+def _cycle_pass(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every ``k``-face pairing with ``a`` non-plant edges, for each ``a <=
+    n``, connected or not, summed over every face layout, counted by the
+    number of sigma-cycles closed before the last face ends.
 
     A state is a scan class of :func:`_class_moves`, ``(l0, parts)``; the
-    pass starts and ends at ``(1, ())``.  ``layers[b]`` maps each class
-    with ``b + 1`` faces begun to its counts, summed over the path-end
-    states of the class.  Before each position any face but the last may
-    end, which folds every layout of ``compositions(2n, k)`` into the pass.
-    The states carry no face components: :func:`_connected_census` removes
-    the disconnected pairings afterwards.
+    pass starts at ``(1, ())``.  ``layers[b]`` maps each class with ``b +
+    1`` faces begun to its counts, summed over the path-end states of the
+    class.  Before each position any face but the last may end, which folds
+    every layout of ``compositions(2a, k)`` into the pass.  After the face
+    ends at position ``2a``, the last face's frontier alone on its cycle,
+    ``(1, ())``, holds the pairings of ``a`` edges (the module notes say why
+    a pass to ``n`` counts them as a pass to ``a`` does).  The states carry
+    no face components: :func:`_connected_census` removes the disconnected
+    pairings afterwards.
 
-    A state's counts are one int, packed as :func:`_slot_width` describes,
-    so a move of multiplicity ``mult`` that closes ``closed`` cycles adds
-    ``counts * mult << closed * width`` and a merge is one addition.
+    A state's counts are one int, packed as :func:`_slot_width` describes
+    with the width for ``n``, so a move of multiplicity ``mult`` that closes
+    ``closed`` cycles adds ``counts * mult << closed * width`` and a merge
+    is one addition.
     """
     span = 2 * n
     width = _slot_width(k, n)
     layers: list[dict[_Class, int]] = [{} for _ in range(k)]
     layers[0][1, ()] = 1
+    sizes = []
     for pos in range(span + 1):
         for b in range(k - 1):
             out = layers[b + 1]
             for state, counts in layers[b].items():
                 key, closed = _class_moves(state)[0]
                 out[key] = out.get(key, 0) + (counts << closed * width)
+        if pos % 2 == 0:
+            # With no chord open, the last face's frontier is alone; its end closes it.
+            sizes.append(tuple(_unpack(layers[k - 1].get((1, ()), 0), width)))
         if pos == span:
             break
         room = span - pos - 1
@@ -257,9 +279,21 @@ def _cycle_census(k: int, n: int) -> tuple[int, ...]:
                 for key, mult, closed in closes:
                     out[key] = out.get(key, 0) + (counts * mult << closed * width)
         layers = step
-    # Every chord is closed by now, so one class is left: the last face's
-    # frontier alone, which its end closes.
-    return tuple(_unpack(layers[k - 1].get((1, ()), 0), width))
+    return tuple(sizes)
+
+
+#: The largest :func:`_cycle_pass` run so far, per face count.
+_cycle_passes: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _cycle_census(k: int, n: int) -> tuple[int, ...]:
+    """The ``n``-edge counts of :func:`_cycle_pass`, read off the largest
+    ``k``-face pass run so far, or off a new pass to ``n`` when that is
+    smaller."""
+    sizes = _cycle_passes.get(k, ())
+    if n >= len(sizes):
+        sizes = _cycle_passes[k] = _cycle_pass(k, n)
+    return sizes[n]
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +311,10 @@ def _connected_census(k: int, n: int) -> tuple[int, ...]:
     formula, Stanley, *Enumerative Combinatorics* 2, section 5.1).
     """
     out = list(_cycle_census(k, n))
-    for s in range(1, k):
-        for a in range(n + 1):
+    # Most faces and edges first: _connected_census(k - 1, n) runs the pass
+    # to n of every face count below k, which serves every later read.
+    for s in range(k - 1, 0, -1):
+        for a in range(n, -1, -1):
             first, rest = _connected_census(s, a), _cycle_census(k - s, n - a)
             for i, x in enumerate(first):
                 for j, y in enumerate(rest):
@@ -346,7 +382,6 @@ def count(kind: str, n: int) -> CountTable:
 def count_range(kind: str, n_max: int) -> CountTable:
     """The disjoint union of the :func:`count` tables for edge counts up to ``n_max``."""
     kind = check_bound(kind, n_max)
-    entries: dict[tuple[int, int], int] = {}
-    for n in range(n_max + 1):
-        entries.update(count(kind, n).entries)
-    return CountTable(kind, entries)
+    # The largest n first: its passes serve every smaller n.
+    tables = [count(kind, n) for n in range(n_max, -1, -1)]
+    return CountTable(kind, {key: c for t in reversed(tables) for key, c in t.entries.items()})

@@ -282,13 +282,13 @@ def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
     return tuple(moves)
 
 
-@lru_cache(maxsize=16)
-def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
-    """Every one-face map with ``total_np`` non-plant edges, counted per
-    ``(genus, domain)`` for the leaves and :data:`PENDANT_DOMAINS`.
+def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
+    """Every one-face map with ``a`` non-plant edges, for each ``a <= n``,
+    counted per ``(genus, domain)`` for the leaves and
+    :data:`PENDANT_DOMAINS` (none for the edgeless map, which has no leaf).
 
-    One transfer-matrix pass over the interior positions, the scan of
-    :func:`~plantedmaps.census._cycle_census` on one face, but on concrete
+    One transfer-matrix pass over the interior positions ``1..2n``, the scan
+    of :func:`~plantedmaps.census._cycle_pass` on one face, but on concrete
     states: the start of each open sigma-path end (each open chord's A end,
     then the frontier), 0 for the root in-port and ``j + 1`` for open chord
     ``j``'s B end, with a tag (:func:`_next_tag`) that follows the root
@@ -296,15 +296,38 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
     chords (the root chord, chord ``t``), so the states are not merged by
     cycle type.  Each state carries its counts per number of sigma-cycles
     closed packed into one int in the layout of
-    :func:`~plantedmaps.census._slot_width`, unpacked once at the end.
+    :func:`~plantedmaps.census._slot_width`, with the width for ``n``.
+
+    Each size ``a`` is read at position ``p = 2a``, where closing the one
+    open chord of a state ends a map of ``a`` edges.  That map's leaf is
+    the state's tag taken with the end at ``p``: U1 when the root chord
+    closes there, U2 when chord ``t`` does.  The state that goes on, for
+    ``a < n``, takes the tag for the end at ``2n``.  A pass to ``2n`` keeps
+    every prefix of a pass to ``2a``, with the same tags before ``p`` (see
+    the :mod:`~plantedmaps.census` notes), so both count these maps alike.
+    Every map that ends must have a leaf, and no chord may be left open at
+    ``2n``; both checks raise :class:`~plantedmaps.core.InvariantError`.
     """
-    last = 2 * total_np
-    width = _slot_width(1, total_np)
+    last = 2 * n
+    width = _slot_width(1, n)
+    sizes: list[dict[tuple[int, str], int]] = [{}]
     layer: dict = {("a",): {b"\0": 1}}
     for p in range(1, last + 1):
         room = last - p
+        ended: dict[PartitionClass, int] = {}
         step: dict = {}
         for tag, states in layer.items():
+            if p % 2 == 0:
+                # Closing the one open chord ends a map of p / 2 edges.  Of the
+                # two states with one chord open, b"\0\1" closes a cycle then
+                # (the frontier's path began at the chord's B end) and b"\1\0"
+                # does not.
+                done = (states.get(b"\0\1", 0) << width) + states.get(b"\1\0", 0)
+                if done:
+                    leaf = _next_tag(tag, 0, 1, p, p)
+                    known = isinstance(leaf, PartitionClass)
+                    check_invariant(known, "a one-face scan ended before its leaf was known")
+                    ended[leaf] = ended.get(leaf, 0) + done
             for ends, counts in states.items():
                 m = len(ends) - 1
                 if m < room:  # room left to close the new chord too
@@ -315,19 +338,33 @@ def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
                     out = step.setdefault(_next_tag(tag, j, m, p, last), {})
                     out[path] = out.get(path, 0) + (counts << closed * width)
         layer = step
-    tally: dict[tuple[int, str], int] = {}
-    for tag, states in layer.items():
-        check_invariant(
-            isinstance(tag, PartitionClass) and list(states) == [b"\0"],
-            "a one-face scan ended before its leaf was known",
-        )
-        for closed, c in enumerate(_unpack(states[b"\0"], width)):
-            if not c:
-                continue
-            g = _genus_of_closed(1, total_np, closed, "leaf census")
-            for dom in domains(tag):
-                tally[g, dom] = tally.get((g, dom), 0) + c
-    return tally
+        if p % 2 == 0:
+            tally: dict[tuple[int, str], int] = {}
+            for leaf, packed in ended.items():
+                doms = domains(leaf)
+                for closed, c in enumerate(_unpack(packed, width)):
+                    if not c:
+                        continue
+                    g = _genus_of_closed(1, p // 2, closed, "leaf census")
+                    for dom in doms:
+                        tally[g, dom] = tally.get((g, dom), 0) + c
+            sizes.append(tally)
+    left_open = any(list(states) != [b"\0"] for states in layer.values())
+    check_invariant(not left_open, "a one-face scan left a chord open at its last position")
+    return sizes
+
+
+#: The sizes of the largest :func:`_leaf_pass` run so far.
+_leaf_sizes: list[dict[tuple[int, str], int]] = []
+
+
+def _census_class_counts(total_np: int) -> dict[tuple[int, str], int]:
+    """The ``total_np``-edge counts of :func:`_leaf_pass`, read off the
+    largest pass run so far, or off a new pass to ``total_np`` when that is
+    smaller."""
+    if total_np >= len(_leaf_sizes):
+        _leaf_sizes[:] = _leaf_pass(total_np)
+    return _leaf_sizes[total_np]
 
 
 def histogram(g: int, n: int) -> PartitionHistogram:

@@ -1,3 +1,6 @@
+import pytest
+
+from plantedmaps import census, partition
 from plantedmaps.bijections import ETA_DOMAINS, eta_edge
 from plantedmaps.core import CellularMap, from_np_pairs
 from plantedmaps.partition import _closed, _root_start, classify, domains
@@ -40,3 +43,12 @@ def eta_edges(m: CellularMap) -> list[tuple[int, int]]:
     ``m``."""
     doms = domains(classify(m))
     return [eta_edge(i, m) for i in range(1, 5) if set(ETA_DOMAINS[i]) & set(doms)]
+
+
+@pytest.fixture
+def cold_passes():
+    """Empty the memos of the census and leaf passes, so that the test sees
+    every pass that runs."""
+    census._cycle_passes.clear()
+    census._connected_census.cache_clear()
+    partition._leaf_sizes.clear()

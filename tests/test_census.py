@@ -6,13 +6,14 @@ from math import comb
 import pytest
 
 from conftest import catalan, double_factorial_odd, mk, uni
-from plantedmaps import oracle
+from plantedmaps import census, oracle
 from plantedmaps.census import (
     N_MAX,
     BoundExceeded,
     _class_moves,
     _connected_census,
     _cycle_census,
+    _cycle_pass,
     _genus_of_closed,
     _slot_width,
     _unpack,
@@ -154,6 +155,17 @@ def test_cycle_census_counts_every_layout_and_pairing(k, kind):
     for n in range(N_MAX[kind] + 1):
         pairs = comb(2 * n + k - 1, k - 1) * double_factorial_odd(n)
         assert sum(_cycle_census(k, n)) == pairs, n
+
+
+@pytest.mark.parametrize("k, kind", [(1, "unicellular"), (2, "bicellular"), (3, "tricellular")])
+def test_sizes_read_off_a_larger_pass_equal_their_own_pass(cold_passes, k, kind):
+    # Size n is read at position 2n of the pass to the bound, and off the
+    # last position of a pass that ends at n.
+    bound = N_MAX[kind]
+    _cycle_census(k, bound)
+    for n in range(bound + 1):
+        assert _cycle_census(k, n) == _cycle_pass(k, n)[-1], n
+    assert len(census._cycle_passes[k]) == bound + 1
 
 
 @pytest.mark.parametrize(
@@ -327,6 +339,11 @@ def test_csv_and_json_export():
 
 def test_count_range_merges_tables():
     tbl = count_range("unicellular", 3)
+    assert list(tbl.entries) == [(0, 0), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    assert repr(tbl) == (
+        "CountTable(kind='unicellular', entries="
+        "{(0, 0): 1, (0, 1): 1, (0, 2): 2, (1, 2): 1, (0, 3): 5, (1, 3): 10})"
+    )
     assert tbl.get(0, 0) == 1
     assert tbl.get(1, 3) == 10
     assert tbl.total(2) == 3

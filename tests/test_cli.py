@@ -1,5 +1,6 @@
 import json
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -277,6 +278,36 @@ def test_bounds_are_checked_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(partition, "_census_class_counts", work)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (("verify", "--relation", "theorem", "--max-n", "4"), [("leaf", 6), (1, 4), (2, 4), (3, 4)]),
+        (("verify", "--relation", "hz", "--max-n", "11"), [(1, 11)]),
+        (("verify", "--relation", "bicellular", "--max-n", "9"), [(1, 9), (2, 9)]),
+        (("export", "--kind", "tri", "--max-edges", "8"), [(1, 8), (2, 8), (3, 8)]),
+    ],
+    ids=["theorem", "hz", "bicellular", "export"],
+)
+def test_range_commands_run_one_pass_per_face_count(capsys, monkeypatch, cold_passes, argv, passes):
+    # Each pass runs once, to the largest size the command reads.
+    ran = Counter()
+    cycle_pass, leaf_pass = census._cycle_pass, partition._leaf_pass
+
+    def counted_cycle_pass(k, n):
+        ran[k, n] += 1
+        return cycle_pass(k, n)
+
+    def counted_leaf_pass(n):
+        ran["leaf", n] += 1
+        return leaf_pass(n)
+
+    monkeypatch.setattr(census, "_cycle_pass", counted_cycle_pass)
+    monkeypatch.setattr(partition, "_leaf_pass", counted_leaf_pass)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert ran == Counter(passes)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import pytest
 
 from conftest import closed_branches, eta_edges, uni
-from plantedmaps import oracle
+from plantedmaps import oracle, partition
 from plantedmaps.bijections import cut
 from plantedmaps.census import N_MAX, count, unicellular_stream
+from plantedmaps.core import InvariantError
 from plantedmaps.partition import (
     LEAVES,
     PENDANT_DOMAINS,
@@ -11,6 +14,7 @@ from plantedmaps.partition import (
     PartitionClass,
     TrivialMap,
     _census_class_counts,
+    _leaf_pass,
     classify,
     domains,
     histogram,
@@ -214,8 +218,8 @@ def _object_classify(u):
     return PartitionClass(f"F5{closed.index(True) + 1}")
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_census_class_counts_match_the_object_path(m):
+@lru_cache(maxsize=None)
+def _object_class_counts(m):
     expected = {}
     for mp in unicellular_stream(m):
         pc = _object_classify(mp)
@@ -223,7 +227,37 @@ def test_census_class_counts_match_the_object_path(m):
         for dom in domains(pc):
             key = (mp.genus(), dom)
             expected[key] = expected.get(key, 0) + 1
-    assert _census_class_counts(m) == expected
+    return expected
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_census_class_counts_match_the_object_path(m):
+    assert _census_class_counts(m) == _object_class_counts(m)
+
+
+def test_leaf_sizes_read_off_a_larger_pass_equal_their_own_pass(cold_passes):
+    # Size m is read at position 2m of the pass to 9, and off the last
+    # position of a pass that ends at m.
+    _census_class_counts(9)
+    for m in range(1, 10):
+        assert _census_class_counts(m) == _leaf_pass(m)[-1], m
+    for m in range(1, 7):
+        assert _census_class_counts(m) == _object_class_counts(m), m
+    assert len(partition._leaf_sizes) == 10
+
+
+def test_leaf_pass_refuses_a_map_that_ends_without_a_leaf(cold_passes, monkeypatch):
+    # A raised InvariantError, so that python -O keeps the check.
+    monkeypatch.setattr(partition, "_next_tag", lambda tag, *_: tag)
+    with pytest.raises(InvariantError, match="ended before its leaf was known"):
+        _census_class_counts(3)
+
+
+def test_leaf_pass_refuses_a_chord_left_open_at_its_last_position(monkeypatch):
+    # Close moves that close no chord leave the root chord open at the end.
+    monkeypatch.setattr(partition, "_closes", lambda ends: ((ends, 0),) * (len(ends) - 1))
+    with pytest.raises(InvariantError, match="left a chord open at its last position"):
+        _leaf_pass(1)
 
 
 @pytest.mark.parametrize("m", range(7, N_MAX["unicellular"] + 1))
