@@ -22,7 +22,7 @@ fewer faces and edges.  Each state carries its count of pairings per number
 of sigma-cycles closed, packed into one int with a fixed-width slot per
 cycle number (:func:`_slot_width`), so that merging two states is one
 addition.  Counting is exact.  The partition histogram runs the one-face
-pass on concrete path ends with a root-cycle tag added to each state
+pass on the same classes with a root-cycle tag added to each state
 (:func:`plantedmaps.partition._census_class_counts`).
 
 One pass serves every smaller size.  The pairings of ``a <= n`` edges are
@@ -152,20 +152,20 @@ def _slot_width(k: int, n: int) -> int:
     Both passes, this module's :func:`_cycle_census` and
     :func:`plantedmaps.partition._census_class_counts`, pack a state's
     counts into one int: the count with ``i`` cycles closed sits at bit
-    offset ``i * width``, a move that closes ``closed`` cycles adds
-    ``counts << closed * width`` (times the move's multiplicity in
-    :func:`_cycle_census`), and :func:`_unpack` reads the slots back.
+    offset ``i * width``, a move of multiplicity ``L`` that closes
+    ``closed`` cycles adds ``counts * L << closed * width``, and
+    :func:`_unpack` reads the slots back.
 
     A state's slot ``i`` counts distinct kept prefixes (a face layout begun
     and a partial pairing).  Every kept prefix extends to a complete
     pairing of a complete layout, and distinct prefixes to distinct ones,
     so no slot, and no sum of slots merged into one state, exceeds the
     ``comb(2n + k - 1, k - 1) * (2n - 1)!!`` (layout, pairing) pairs.  A
-    class state of :func:`_cycle_census` sums the slots of the path-end
-    states in it, and a move of multiplicity ``L`` sends the prefixes of
-    ``L`` distinct path-end moves there, so its slots still count distinct
-    kept prefixes.  A slot as wide as that number's bit length holds any
-    such count, so slots never carry into each other.
+    class state of either pass (with its tag in the leaf pass) sums the
+    slots of the path-end states in it, and a move of multiplicity ``L``
+    sends the prefixes of ``L`` distinct path-end moves there, so its slots
+    still count distinct kept prefixes.  A slot as wide as that number's
+    bit length holds any such count, so slots never carry into each other.
 
     A smaller size ``a`` read off the pass to ``n`` is a state of that same
     pass at position ``2a``, so this bound covers it too: one width packs

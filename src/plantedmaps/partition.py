@@ -26,7 +26,7 @@ that :func:`_classify` reads and that the cut in
 bijection contracts is stated there too, by ``eta_edge``.
 
 The histogram builds no maps: it runs the census's one-face transfer-matrix
-scan on concrete path ends, with a tag that follows the root cycle
+scan on its cycle-type classes, with a tag that follows the root cycle
 (:func:`_census_class_counts`), and both paths decide degree >= 4 through
 :func:`_branch_class`.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from plantedmaps.census import N_MAX, _genus_of_closed, _slot_width, _unpack
+from plantedmaps.census import N_MAX, _Class, _class_moves, _genus_of_closed, _slot_width, _unpack
 from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed, _Record, _set
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -74,8 +74,8 @@ class PartitionClass(_Record):
 
     ``first_pendant``/``second_pendant`` record whether branch 1/2 consists
     of exactly one pair; they matter on leaves U2 and G23.  Never equal to a
-    tuple: the leaf pass keys its tags, tuples until the leaf is known, in
-    one dict.
+    tuple: the leaf pass keys its census classes by tag, tuples until the
+    leaf is known, in one dict.
     """
 
     _fields = ("leaf", "first_pendant", "second_pendant")
@@ -224,62 +224,33 @@ class PartitionHistogram(_Record):
         return sum(self.classes.values())
 
 
-def _next_tag(tag, j: int, m: int, p: int, last: int):
-    """The tag of a scan state after position ``p`` of ``1..last`` opens a
-    chord (``j < 0``) or closes open chord ``j`` of the ``m`` open ones.
+def _next_tag(tag, target: _Class, p: int, last: int):
+    """The tag of a scan state after position ``p`` of ``1..last`` moves it
+    to the class ``target``.
 
-    Chords are indexed in opening order.  The root chord ``(1, h2)`` is
-    chord 0, open while the tag is ``("a",)``.  Once it closes at ``h2`` the
-    tag is ``("b", c1, h2 == 2)``, where ``c1`` says the first branch is
-    closed (no chord left open).  Position ``h2 + 1`` then closes a chord
-    (its partner is below ``h2``: class B) or opens chord ``t``, and the tag
-    is ``("c", t, crossed, fresh, c1, h2 == 2)``: ``crossed`` says a chord
-    opened before ``h2 + 1`` has closed since, ``fresh`` that chord ``t``
-    opened at the previous position.  When chord ``t`` closes at ``h3`` the
-    leaf is known and becomes the tag.
+    The tag names a chord, the last on the frontier's cycle, that closes on
+    the one move to ``l0 == 1`` (see :func:`_leaf_pass`).  The root chord
+    ``(1, h2)`` is named while the tag is ``("a",)``.  When it closes at
+    ``h2``, leaving the cycles ``old``, the tag is ``("b", old, h2 == 2)``.
+    Position ``h2 + 1`` then opens chord ``t``, the one move to ``(2,
+    old)``, or closes a chord (class B).  The tag is then ``("c", old,
+    fresh, h2 == 2)``, with ``old`` set to ``None`` once a chord open at
+    ``h2 + 1`` has closed (it crossed into branch 2), and ``fresh`` while
+    chord ``t`` opened at the previous position.  When chord ``t`` closes at
+    ``h3`` the leaf is known and becomes the tag.
     """
-    if isinstance(tag, PartitionClass):
-        return tag
-    if tag[0] == "a":
-        if j != 0:
-            return tag
-        return _pc("U1") if p == last else ("b", m == 1, p == 2)
     if tag[0] == "b":
-        return _pc("B") if j >= 0 else ("c", m, False, True) + tag[1:]
-    _, t, crossed, fresh, c1, len1_2 = tag
-    if j != t:
-        return ("c", t - (0 <= j < t), crossed or 0 <= j < t, False, c1, len1_2)
+        return ("c", tag[1], True, tag[2]) if target == (2, tag[1]) else _pc("B")
+    if target[0] != 1:
+        return tag if tag[0] == "a" else ("c", tag[1], False, tag[3])
+    if tag[0] == "a":
+        return _pc("U1") if p == last else ("b", target[1], p == 2)
+    _, old, fresh, len1_2 = tag
     if p == last:
         return _pc("U2", len1_2, fresh)
-    # A chord still open crosses h3, and one opened after chord t also starts
-    # inside branch 2; an earlier chord that closed since ended inside it.
-    return _branch_class(c1, not crossed and m - 1 == t, m == 1, len1_2, fresh)
-
-
-def _join(ends: list[int], start: int) -> int:
-    """Join the frontier's path (the last end) to the path that began at
-    ``start``; return 1 when that closes a cycle, else 0."""
-    front = ends[-1]
-    if front == start:
-        return 1
-    ends[ends.index(start)] = front
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _closes(ends: bytes) -> tuple[tuple[bytes, int], ...]:
-    """For each open chord ``j`` of a scan state with path ends ``ends``, the
-    ends after the current position closes it (later chords renumbered) and
-    1 if that closes a sigma-cycle.  The leaf pass, whose tag names chords,
-    is the only reader; its bound keeps the cache finite (20 365 ``ends`` at
-    ``classify --genus 2 --edges 11``)."""
-    moves = []
-    for j in range(len(ends) - 1):
-        path = list(ends)
-        closed = _join(path, j + 1)
-        path[-1] = path.pop(j)
-        moves.append((bytes([x - 1 if x > j + 1 else x for x in path]), closed))
-    return tuple(moves)
+    # A branch is closed when no chord is open at its end, and for branch 2
+    # also none crossed into it: the class then holds the old cycles alone.
+    return _branch_class(old == (), target[1] == old, target == (1, ()), len1_2, fresh)
 
 
 def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
@@ -287,16 +258,24 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
     counted per ``(genus, domain)`` for the leaves and
     :data:`PENDANT_DOMAINS` (none for the edgeless map, which has no leaf).
 
-    One transfer-matrix pass over the interior positions ``1..2n``, the scan
-    of :func:`~plantedmaps.census._cycle_pass` on one face, but on concrete
-    states: the start of each open sigma-path end (each open chord's A end,
-    then the frontier), 0 for the root in-port and ``j + 1`` for open chord
-    ``j``'s B end, with a tag (:func:`_next_tag`) that follows the root
-    cycle until the leaf is known, at ``h3`` at the latest.  The tag names
-    chords (the root chord, chord ``t``), so the states are not merged by
-    cycle type.  Each state carries its counts per number of sigma-cycles
-    closed packed into one int in the layout of
-    :func:`~plantedmaps.census._slot_width`, with the width for ``n``.
+    One transfer-matrix pass over the interior positions ``1..2n``: the
+    scan of :func:`~plantedmaps.census._cycle_pass` on one face, on its
+    classes ``(l0, parts)`` and their moves
+    (:func:`~plantedmaps.census._class_moves`), with a tag
+    (:func:`_next_tag`) that follows the root cycle until the leaf is known,
+    at ``h3`` at the latest.  Each state's counts per number of sigma-cycles
+    closed are packed as :func:`~plantedmaps.census._slot_width` describes,
+    with the width for ``n``.
+
+    The classes suffice, for two reasons.  A named chord opens onto the
+    frontier's cycle while the frontier is alone on it, and later moves
+    only put chords in next to the frontier (an opening, or a join of
+    another cycle) or cut off a part next to it, so the named chord stays
+    the last before the frontier and closes on the one move to ``l0 ==
+    1``.  And the cycles of the chords open at ``h2 + 1`` are untouched
+    until one of those chords closes: until then they are the cycles
+    ``old`` in the class, and of the ``length * parts.count(length)`` joins
+    of a cycle of some length, ``length * old.count(length)`` cross.
 
     Each size ``a`` is read at position ``p = 2a``, where closing the one
     open chord of a state ends a map of ``a`` edges.  That map's leaf is
@@ -311,45 +290,60 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
     last = 2 * n
     width = _slot_width(1, n)
     sizes: list[dict[tuple[int, str], int]] = [{}]
-    layer: dict = {("a",): {b"\0": 1}}
+    layer: dict = {("a",): {(1, ()): 1}}
     for p in range(1, last + 1):
         room = last - p
         ended: dict[PartitionClass, int] = {}
         step: dict = {}
         for tag, states in layer.items():
+            known = isinstance(tag, PartitionClass)
             if p % 2 == 0:
-                # Closing the one open chord ends a map of p / 2 edges.  Of the
-                # two states with one chord open, b"\0\1" closes a cycle then
-                # (the frontier's path began at the chord's B end) and b"\1\0"
-                # does not.
-                done = (states.get(b"\0\1", 0) << width) + states.get(b"\1\0", 0)
+                # Closing the one open chord ends a map of p / 2 edges: from
+                # (2, ()) it closes a cycle, from (1, (1,)) it does not.
+                done = (states.get((2, ()), 0) << width) + states.get((1, (1,)), 0)
                 if done:
-                    leaf = _next_tag(tag, 0, 1, p, p)
-                    known = isinstance(leaf, PartitionClass)
-                    check_invariant(known, "a one-face scan ended before its leaf was known")
+                    leaf = tag if known else _next_tag(tag, (1, ()), p, p)
+                    known_leaf = isinstance(leaf, PartitionClass)
+                    check_invariant(known_leaf, "a one-face scan ended before its leaf was known")
                     ended[leaf] = ended.get(leaf, 0) + done
-            for ends, counts in states.items():
-                m = len(ends) - 1
-                if m < room:  # room left to close the new chord too
-                    out = step.setdefault(_next_tag(tag, -1, m, p, last), {})
-                    key = ends + bytes((m + 1,))
-                    out[key] = out.get(key, 0) + counts
-                for j, (path, closed) in enumerate(_closes(ends)):
-                    out = step.setdefault(_next_tag(tag, j, m, p, last), {})
-                    out[path] = out.get(path, 0) + (counts << closed * width)
+            if known:
+                out = step.setdefault(tag, {})
+                for state, counts in states.items():
+                    _, opened, closes = _class_moves(state)
+                    if state[0] - 1 + sum(state[1]) < room:  # room left to close the new chord too
+                        out[opened] = out.get(opened, 0) + counts
+                    for target, mult, closed in closes:
+                        out[target] = out.get(target, 0) + (counts * mult << closed * width)
+                continue
+            old = tag[1] if tag[0] == "c" else None
+            for state, counts in states.items():
+                _, opened, closes = _class_moves(state)
+                l0, parts = state
+                moves = []
+                if l0 - 1 + sum(parts) < room:  # room left to close the new chord too
+                    moves.append((opened, 1, 0, _next_tag(tag, opened, p, last)))
+                for target, mult, closed in closes:
+                    length = target[0] + 1 - l0  # of the cycle a join adds; below 1 for a cut
+                    crossing = length * old.count(length) if old else 0
+                    if crossing:
+                        moves.append((target, crossing, 0, ("c", None, False, tag[3])))
+                    moves.append((target, mult - crossing, closed, _next_tag(tag, target, p, last)))
+                for target, mult, closed, new in moves:
+                    if mult:
+                        out = step.setdefault(new, {})
+                        out[target] = out.get(target, 0) + (counts * mult << closed * width)
         layer = step
         if p % 2 == 0:
             tally: dict[tuple[int, str], int] = {}
             for leaf, packed in ended.items():
-                doms = domains(leaf)
                 for closed, c in enumerate(_unpack(packed, width)):
                     if not c:
                         continue
                     g = _genus_of_closed(1, p // 2, closed, "leaf census")
-                    for dom in doms:
+                    for dom in domains(leaf):
                         tally[g, dom] = tally.get((g, dom), 0) + c
             sizes.append(tally)
-    left_open = any(list(states) != [b"\0"] for states in layer.values())
+    left_open = any(list(states) != [(1, ())] for states in layer.values())
     check_invariant(not left_open, "a one-face scan left a chord open at its last position")
     return sizes
 

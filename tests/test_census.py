@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import catalan, double_factorial_odd, mk, uni
+from conftest import catalan, double_factorial_odd, mk, path_closes, path_join, uni
 from plantedmaps import census, oracle
 from plantedmaps.census import (
     N_MAX,
@@ -24,7 +24,6 @@ from plantedmaps.census import (
     unicellular_stream,
 )
 from plantedmaps.core import InvariantError
-from plantedmaps.partition import _closes, _join
 
 
 def test_unicellular_n0_is_the_trivial_map():
@@ -195,7 +194,7 @@ def _path_end_census(k, n):
         for b in range(k - 1):
             for state, counts in layers[b].items():
                 ends = list(state)
-                closed = _join(ends, 0)
+                closed = path_join(ends, 0)
                 ends[-1] = 0
                 key = bytes(ends)
                 layers[b + 1][key] = layers[b + 1].get(key, 0) + (counts << closed * width)
@@ -208,7 +207,7 @@ def _path_end_census(k, n):
                 if m < span - pos - 1:
                     key = ends + bytes((m + 1,))
                     out[key] = out.get(key, 0) + counts
-                for path, closed in _closes(ends):
+                for path, closed in path_closes(ends):
                     out[path] = out.get(path, 0) + (counts << closed * width)
         layers = step
     return tuple(_unpack(layers[k - 1].get(b"\0", 0), width))
@@ -243,11 +242,11 @@ def test_class_moves_match_the_path_end_moves():
             seen.add(state)
             end, opened, closes = _class_moves(state)
             face_end = list(ends)
-            closed = _join(face_end, 0)
+            closed = path_join(face_end, 0)
             face_end[-1] = 0
             assert (_class_of(face_end), closed) == end, ends
             assert _class_of(ends + bytes((m + 1,))) == opened, ends
-            expected = Counter((_class_of(path), closed) for path, closed in _closes(ends))
+            expected = Counter((_class_of(path), closed) for path, closed in path_closes(ends))
             got = Counter()
             for key, mult, closed in closes:
                 got[key, closed] += mult

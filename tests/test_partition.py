@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import closed_branches, eta_edges, uni
+from conftest import closed_branches, eta_edges, path_end_leaf_pass, uni
 from plantedmaps import oracle, partition
 from plantedmaps.bijections import cut
 from plantedmaps.census import N_MAX, count, unicellular_stream
@@ -246,6 +246,15 @@ def test_leaf_sizes_read_off_a_larger_pass_equal_their_own_pass(cold_passes):
     assert len(partition._leaf_sizes) == 10
 
 
+def test_census_class_counts_match_the_path_end_pass(cold_passes):
+    # Each size off its own class pass, against the same size read off a
+    # pass to 9 that names chords by index (the tags of the two passes
+    # follow the same chords, so a wrong merge or fold changes a count).
+    expected = path_end_leaf_pass(9)
+    for m in range(10):
+        assert _census_class_counts(m) == expected[m], m
+
+
 def test_leaf_pass_refuses_a_map_that_ends_without_a_leaf(cold_passes, monkeypatch):
     # A raised InvariantError, so that python -O keeps the check.
     monkeypatch.setattr(partition, "_next_tag", lambda tag, *_: tag)
@@ -255,7 +264,13 @@ def test_leaf_pass_refuses_a_map_that_ends_without_a_leaf(cold_passes, monkeypat
 
 def test_leaf_pass_refuses_a_chord_left_open_at_its_last_position(monkeypatch):
     # Close moves that close no chord leave the root chord open at the end.
-    monkeypatch.setattr(partition, "_closes", lambda ends: ((ends, 0),) * (len(ends) - 1))
+    moves = partition._class_moves
+
+    def no_closes(state):
+        end, opened, closes = moves(state)
+        return end, opened, tuple((state, mult, 0) for _, mult, _ in closes)
+
+    monkeypatch.setattr(partition, "_class_moves", no_closes)
     with pytest.raises(InvariantError, match="left a chord open at its last position"):
         _leaf_pass(1)
 
