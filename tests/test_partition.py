@@ -247,9 +247,8 @@ def test_leaf_sizes_read_off_a_larger_pass_equal_their_own_pass(cold_passes):
 
 
 def test_census_class_counts_match_the_path_end_pass(cold_passes):
-    # Each size off its own class pass, against the same size read off a
-    # pass to 9 that names chords by index (the tags of the two passes
-    # follow the same chords, so a wrong merge or fold changes a count).
+    # Each size off its own pass on the census classes, against the same
+    # size read off a path-end pass to 9, whose tag names chords by index.
     expected = path_end_leaf_pass(9)
     for m in range(10):
         assert _census_class_counts(m) == expected[m], m
