@@ -11,9 +11,13 @@ and non-plant edge count of the maps themselves, while ``verify`` and
 two genera and two edges below the classified maps (so ``verify --relation
 theorem --max-n 2`` touches one-face maps of genus 2 with 4 edges).
 
-:func:`main` may be called many times in one process.  The parser is built
-on the first call and shared by every later one (``parse_args`` keeps no
-state between calls), so a handler must not change it.
+:func:`main` may be called many times in one process.  A well-formed
+command line (the command, then ``--flag value`` pairs) is read straight
+off the option table, ``_COMMANDS``, with no argparse parser.  Any other
+line (help, a usage error, another spelling argparse accepts) goes to the
+parser, which is built on first need and shared by every later call
+(``parse_args`` keeps no state between calls), so a handler must not
+change it.
 """
 
 from __future__ import annotations
@@ -123,6 +127,73 @@ def cmd_show(a: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_KIND = {"--kind": {"required": True, "choices": ["uni", "bi", "tri"]}}
+_OUTPUT = {"--output": {"default": None, "help": "write to file instead of stdout"}}
+
+#: Each command's help line, handler and options, in the order of the help
+#: text: flag -> the keyword arguments of ``add_argument``.  ``_plain_args``
+#: reads only ``required``, ``type``, ``choices`` and ``default``; an option
+#: with any other keyword (``action``, ``nargs``) needs it changed too.
+_COMMANDS = {
+    "count": (
+        "census counts by genus for one edge count",
+        cmd_count,
+        {
+            **_KIND,
+            "--edges": {"required": True, "type": int, "help": "non-plant edge count n"},
+            "--format": {"choices": ["table", "json", "csv"], "default": "table"},
+            **_OUTPUT,
+        },
+    ),
+    "export": (
+        "census table for all edge counts up to a bound",
+        cmd_export,
+        {
+            **_KIND,
+            "--max-edges": {"required": True, "type": int},
+            "--format": {"choices": ["json", "csv"], "default": "csv"},
+            **_OUTPUT,
+        },
+    ),
+    "classify": (
+        "partition histogram of one-face maps with the given genus and edge count",
+        cmd_classify,
+        {
+            "--genus": {"required": True, "type": int, "help": "map genus (>= 2)"},
+            "--edges": {"required": True, "type": int, "help": "non-plant edge count (>= 2)"},
+            **_OUTPUT,
+        },
+    ),
+    "verify": (
+        "check a counting relation over a grid",
+        cmd_verify,
+        {
+            "--relation": {"required": True, "choices": ["hz", "bicellular", "theorem"]},
+            "--max-n": {"required": True, "type": int},
+            **_OUTPUT,
+        },
+    ),
+    "roundtrip": (
+        "exhaustive bijection round-trip at one (g, n)",
+        cmd_roundtrip,
+        {
+            "--bijection": {"required": True, "choices": list(BIJECTION_NAMES)},
+            "--g": {"required": True, "type": int},
+            "--n": {"required": True, "type": int},
+            **_OUTPUT,
+        },
+    ),
+    "show": (
+        "decode a map and print its derived structure",
+        cmd_show,
+        {
+            "--map": {"required": True, "help": "map in the JSON interchange form"},
+            **_OUTPUT,
+        },
+    ),
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -130,56 +201,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact census, partition and bijection checks for planted cellular maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-
-    p = sub.add_parser("count", help="census counts by genus for one edge count")
-    p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
-    p.add_argument("--edges", required=True, type=int, help="non-plant edge count n")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    add_common(p)
-    p.set_defaults(handler=cmd_count)
-
-    p = sub.add_parser("export", help="census table for all edge counts up to a bound")
-    p.add_argument("--kind", required=True, choices=["uni", "bi", "tri"])
-    p.add_argument("--max-edges", required=True, type=int)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    add_common(p)
-    p.set_defaults(handler=cmd_export)
-
-    p = sub.add_parser(
-        "classify",
-        help="partition histogram of one-face maps with the given genus and edge count",
-    )
-    p.add_argument("--genus", required=True, type=int, help="map genus (>= 2)")
-    p.add_argument("--edges", required=True, type=int, help="non-plant edge count (>= 2)")
-    add_common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("verify", help="check a counting relation over a grid")
-    p.add_argument("--relation", required=True, choices=["hz", "bicellular", "theorem"])
-    p.add_argument("--max-n", required=True, type=int)
-    add_common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("roundtrip", help="exhaustive bijection round-trip at one (g, n)")
-    p.add_argument("--bijection", required=True, choices=list(BIJECTION_NAMES))
-    p.add_argument("--g", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    add_common(p)
-    p.set_defaults(handler=cmd_roundtrip)
-
-    p = sub.add_parser("show", help="decode a map and print its derived structure")
-    p.add_argument("--map", required=True, help="map in the JSON interchange form")
-    add_common(p)
-    p.set_defaults(handler=cmd_show)
-
+    for name, (help_line, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read off
+    ``_COMMANDS`` with no parser, when ``argv`` is a command's exact name
+    and then exact ``--flag value`` pairs of that command: each flag once,
+    no value starting with ``-``, each value of its option's type and among
+    its choices, every required flag given.  ``None`` for any other line
+    (help, usage errors, abbreviations, ``--flag=value``, repeated flags,
+    values that start with ``-``), which is argparse's to read.
+
+    Building a parser and its first message lookup import ``locale`` and
+    cost a short command more than its counting; this path does neither.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or flag in given or value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0], handler=handler)
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, spec.get("default")))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InvariantError as exc:

@@ -123,8 +123,9 @@ def _check(domain, forward, inverse, codomain, failures: list[str], what: str) -
         size += 1
         try:
             y = forward(x)
-            repeats += y in image
+            before = len(image)
             image.add(y)
+            repeats += len(image) == before
             if inverse(y) != x:
                 failures.append(f"{what}: inverse(forward(x)) != x for {_show(x)}")
         except MapError as exc:
@@ -134,9 +135,9 @@ def _check(domain, forward, inverse, codomain, failures: list[str], what: str) -
     image_size, codomain_size, missed = len(image), 0, 0
     for y in codomain:
         codomain_size += 1
-        if y in image:
+        try:
             image.remove(y)
-        else:
+        except KeyError:
             missed += 1
     if missed or image:
         failures.append(

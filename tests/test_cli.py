@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 from collections import Counter
 import sys
@@ -8,7 +11,7 @@ import pytest
 
 import plantedmaps
 from plantedmaps import bijections, census, partition, roundtrips
-from plantedmaps.cli import build_parser, main
+from plantedmaps.cli import _COMMANDS, _plain_args, build_parser, main
 from plantedmaps.core import InvariantError, from_np_pairs
 
 
@@ -159,8 +162,9 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_calls_in_one_process_share_one_parser(capsys):
-    # The parser is built on the first call and reused; a usage error, a
-    # bound error, help and other commands in between leave it as it was.
+    # The parser is built for the first help or usage call and reused; a
+    # usage error, a bound error, help and other commands in between leave
+    # it as it was.
     count = ["count", "--kind", "uni", "--edges", "5"]
     argvs = [
         count,
@@ -199,6 +203,148 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def _parsed(argv):
+    """``build_parser().parse_args(argv)``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _assert_plain_path_agrees(argv):
+    """The plain path reads ``argv`` as argparse does, or leaves it to it."""
+    plain = _plain_args(argv)
+    assert plain is None or plain == _parsed(argv), argv
+    return plain
+
+
+@pytest.mark.parametrize(
+    "line, plain",
+    [
+        ("count --kind uni --edges 4", True),
+        ("count --edges 3 --kind uni --format csv", True),
+        ("count --kind uni --edges ' 3'", True),
+        ("count --kind uni --edges +5", True),
+        ("count --kind uni --edges 5_0", True),
+        ("count --kind uni --edges \u0663", True),
+        ("export --kind tri --max-edges 8 --output ''", True),
+        ("roundtrip --bijection cut --g 0 --n 3 --output out.json", True),
+        ("show --map ''", True),
+        ("count --kind uni --edges -1", False),
+        ("roundtrip --bijection cut --g 0 --n 3 --output -x", False),
+        ("count --kind quad --edges 2", False),
+        ("count --kind uni --format xml --edges 2", False),
+        ("count --kind uni", False),
+        ("verify --max-n 4", False),
+        ("count --kind uni --kind bi --edges 3", False),
+        ("count --kind uni --edges 3 --edges 4", False),
+        ("count --kind uni --edges 3.0", False),
+        ("count --kind uni --edges x", False),
+        ("count --kind uni --edges ''", False),
+        ("count --kind uni --ed 4", False),
+        ("count --kind=uni --edges=4", False),
+        ("count --kind uni --edges 4 --max-n 2", False),
+        ("count --kind uni --edges 4 -h", False),
+        ("count --kind uni --edges 4 --", False),
+        ("count --kind uni --edges 4 4", False),
+        ("count -- --kind uni --edges 4", False),
+        ("cou --kind uni --edges 4", False),
+        ("count", False),
+        ("--help", False),
+        ("", False),
+    ],
+)
+def test_plain_path_agrees_with_argparse(line, plain):
+    # A line off the plain path is argparse's to read: help, usage errors and
+    # the other spellings argparse accepts.
+    assert (_assert_plain_path_agrees(shlex.split(line)) is not None) is plain
+
+
+def test_plain_path_agrees_with_argparse_on_drawn_lines():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    flags = sorted({flag for _, _, options in _COMMANDS.values() for flag in options})
+    odd_flags = ["--ed", "--kind=uni", "-h", "--help", "--", "--max", "-x"]
+    odd_values = ["-1", "-x", "", " 3", "+5", "5_0", "\u0663", "3.0", "quad", "nope", "-"]
+
+    @st.composite
+    def lines(draw):
+        # A well-formed line, then up to three edits that may take it off
+        # the plain path.
+        command = draw(st.sampled_from(list(_COMMANDS)))
+        options = _COMMANDS[command][2]
+
+        def good(flag):
+            spec = options.get(flag, {})
+            if "choices" in spec:
+                return st.sampled_from([str(c) for c in spec["choices"]])
+            return st.sampled_from(["0", "3", "12"] if "type" in spec else ["x.json", "0"])
+
+        pairs = [
+            [flag, draw(good(flag))]
+            for flag in draw(st.permutations(list(options)))
+            if options[flag].get("required") or draw(st.booleans())
+        ]
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(pairs)))
+            edit = draw(st.sampled_from(["flag", "value", "drop", "repeat", "lone"]))
+            if edit == "flag":
+                pairs.insert(i, [draw(st.sampled_from(flags + odd_flags)), draw(good(None))])
+            elif edit == "value" and i < len(pairs):
+                pairs[i][-1] = draw(st.sampled_from(odd_values))
+            elif edit == "drop" and i < len(pairs):
+                del pairs[i]
+            elif edit == "repeat" and i < len(pairs):
+                pairs.append([pairs[i][0], draw(good(pairs[i][0]))])
+            elif edit == "lone":
+                pairs.insert(i, [draw(st.sampled_from(flags + odd_flags + odd_values))])
+        return [command] + [token for pair in pairs for token in pair]
+
+    accepted = []
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(lines())
+    def check(argv):
+        if _assert_plain_path_agrees(argv) is not None:
+            accepted.append(argv)
+
+    check()
+    assert len(accepted) >= 100
+
+
+def test_well_formed_commands_build_no_parser(capsys):
+    build_parser.cache_clear()
+    for argv in (
+        ["count", "--kind", "uni", "--edges", "7"],
+        ["count", "--kind", "bi", "--edges", "5"],
+        ["count", "--kind", "tri", "--edges", "4"],
+        ["verify", "--relation", "theorem", "--max-n", "4"],
+        ["roundtrip", "--bijection", "eta1", "--g", "0", "--n", "3"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 0
+
+
+def test_well_formed_command_loads_no_locale():
+    # argparse's first message lookup imports locale; no site (-S), since a
+    # .pth file may import it on its own.
+    src = str(Path(plantedmaps.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from plantedmaps.cli import main\n"
+        "main(['count', '--kind', 'uni', '--edges', '4'])\n"
+        "print('locale' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):
