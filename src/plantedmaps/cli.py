@@ -218,8 +218,8 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     (help, usage errors, abbreviations, ``--flag=value``, repeated flags,
     values that start with ``-``), which is argparse's to read.
 
-    Building a parser and its first message lookup import ``locale`` and
-    cost a short command more than its counting; this path does neither.
+    Building a parser costs a short command more than its counting, and its
+    first message lookup imports ``locale``; this path does neither.
     """
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
