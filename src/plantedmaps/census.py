@@ -21,9 +21,11 @@ the component of the first face and the rest, counted by the passes over
 fewer faces and edges.  Each state carries its count of pairings per number
 of sigma-cycles closed, packed into one int with a fixed-width slot per
 cycle number (:func:`_slot_width`), so that merging two states is one
-addition.  Counting is exact.  The partition histogram runs the one-face
+addition.  Counting is exact.  One position's moves from a set of classes
+are made once, by :func:`_step`.  The partition histogram runs the one-face
 pass on the same classes with a root-cycle tag added to each state
-(:func:`plantedmaps.partition._census_class_counts`).
+(:func:`plantedmaps.partition._census_class_counts`); a state whose leaf is
+known steps through :func:`_step` too.
 
 One pass serves every smaller size.  The pairings of ``a <= n`` edges are
 the prefixes that stand at position ``2a`` with every face begun and no
@@ -231,6 +233,23 @@ def _class_moves(state: _Class):
     return end, (l0 + 1, parts), tuple(closes)
 
 
+def _step(states: dict[_Class, int], room: int, width: int, out: dict[_Class, int]) -> dict:
+    """Add to ``out`` the moves of one scan position from the classes
+    ``states``, each with its packed counts: the chord opening, while the
+    ``room`` positions after this one can still close every open chord, and
+    each close move of :func:`_class_moves`, of multiplicity ``mult`` and
+    closing ``closed`` cycles, adding ``counts * mult << closed * width``.
+    Returns ``out``."""
+    for state, counts in states.items():
+        _, opened, closes = _class_moves(state)
+        l0, parts = state
+        if l0 - 1 + sum(parts) < room:  # room left to close the new chord too
+            out[opened] = out.get(opened, 0) + counts
+        for key, mult, closed in closes:
+            out[key] = out.get(key, 0) + (counts * mult << closed * width)
+    return out
+
+
 def _cycle_pass(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Every ``k``-face pairing with ``a`` non-plant edges, for each ``a <=
     n``, connected or not, summed over every face layout, counted by the
@@ -248,9 +267,8 @@ def _cycle_pass(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     pairings afterwards.
 
     A state's counts are one int, packed as :func:`_slot_width` describes
-    with the width for ``n``, so a move of multiplicity ``mult`` that closes
-    ``closed`` cycles adds ``counts * mult << closed * width`` and a merge
-    is one addition.
+    with the width for ``n``, so a merge is one addition.  Each layer makes
+    its moves at a position through :func:`_step`.
     """
     span = 2 * n
     width = _slot_width(k, n)
@@ -268,17 +286,7 @@ def _cycle_pass(k: int, n: int) -> tuple[tuple[int, ...], ...]:
             sizes.append(tuple(_unpack(layers[k - 1].get((1, ()), 0), width)))
         if pos == span:
             break
-        room = span - pos - 1
-        step: list[dict[_Class, int]] = [{} for _ in range(k)]
-        for layer, out in zip(layers, step):
-            for state, counts in layer.items():
-                _, opened, closes = _class_moves(state)
-                l0, parts = state
-                if l0 - 1 + sum(parts) < room:  # room left to close the new chord too
-                    out[opened] = out.get(opened, 0) + counts
-                for key, mult, closed in closes:
-                    out[key] = out.get(key, 0) + (counts * mult << closed * width)
-        layers = step
+        layers = [_step(layer, span - pos - 1, width, {}) for layer in layers]
     return tuple(sizes)
 
 

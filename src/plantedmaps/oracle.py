@@ -17,7 +17,7 @@ and each partition leaf against the recurrence table and the census.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 
 from plantedmaps import census, partition
 from plantedmaps.core import BoundExceeded, MapError
@@ -33,34 +33,21 @@ class NegativeCount(MapError):
     pass
 
 
-def _memoised(method):
-    """Cache ``method(self, g, n)`` in the table's ``_memo``, per method."""
-    name = method.__name__
-
-    @wraps(method)
-    def cached(self, g: int, n: int) -> int:
-        key = (name, g, n)
-        if key not in self._memo:
-            self._memo[key] = method(self, g, n)
-        return self._memo[key]
-
-    return cached
-
-
 class HZTable:
     """Recurrence table of one-face counts with derived convolutions.
 
     Built once up to ``n_max``; all lookups outside the triangle
     ``0 <= 2g <= n`` return 0, lookups beyond ``n_max`` raise
     :class:`BoundExceeded`.  The two-face counts and the splits are
-    memoised per table as they are asked for.
+    memoised by ``lru_cache`` as they are asked for.  The cache key holds
+    the table, so each table keeps its own entries (and the cache keeps
+    every table it has seen).
     """
 
     def __init__(self, n_max: int = DEFAULT_N_MAX):
         if n_max < 0:
             raise BoundExceeded("n_max must be non-negative")
         self.n_max = n_max
-        self.g_max = n_max // 2
         self._u: dict[tuple[int, int], int] = {(0, 0): 1}
         for n in range(1, n_max + 1):
             for g in range(n // 2 + 1):
@@ -70,7 +57,6 @@ class HZTable:
                 if num % (n + 1):
                     raise NonIntegralRecurrence(f"(n+1) does not divide at (g,n)=({g},{n})")
                 self._u[(g, n)] = num // (n + 1)
-        self._memo: dict[tuple[str, int, int], int] = {}
 
     def _get(self, g: int, n: int) -> int:
         if g < 0 or n < 0 or 2 * g > n:
@@ -94,7 +80,7 @@ class HZTable:
         ``a <= m // 2``) and ``h``, whose genera sum to ``g`` and edge counts to ``n``."""
         return sum(f(a, m) * h(g - a, n - m) for m in range(n + 1) for a in range(min(g, m // 2) + 1))
 
-    @_memoised
+    @lru_cache(maxsize=None)
     def bicellular(self, g: int, n: int) -> int:
         """Connected two-face count: u(g+1,n+1) minus the ordered two-factor
         convolution of one-face counts."""
@@ -105,13 +91,13 @@ class HZTable:
             raise NegativeCount(f"negative two-face count at (g,n)=({g},{n})")
         return b
 
-    @_memoised
+    @lru_cache(maxsize=None)
     def single_split(self, g: int, n: int) -> int:
         """Ordered (one-face piece, two-face piece) pairs with genus sum
         g+1 and edge sum n, the one-face piece non-trivial."""
         return self._conv(self.u_star, self.bicellular, g + 1, n)
 
-    @_memoised
+    @lru_cache(maxsize=None)
     def triple_split(self, g: int, n: int) -> int:
         """Ordered triples of non-trivial one-face pieces with genus sum
         g+2 and edge sum n."""
@@ -148,9 +134,9 @@ def _rhs(terms: tuple[int, ...]) -> int:
     return t + d + u1 - u0 + b
 
 
-@lru_cache(maxsize=4)
-def table(n_max: int = DEFAULT_N_MAX) -> HZTable:
-    return HZTable(n_max)
+@lru_cache(maxsize=None)
+def table() -> HZTable:
+    return HZTable(DEFAULT_N_MAX)
 
 
 def hz(g: int, n: int) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from plantedmaps.census import N_MAX, _Class, _class_moves, _genus_of_closed, _slot_width, _unpack
+from plantedmaps.census import N_MAX, _Class, _class_moves, _genus_of_closed, _slot_width, _step, _unpack
 from plantedmaps.core import BoundExceeded, CellularMap, MapError, _closed, _Record, _set
 from plantedmaps.core import ValidationError, check_invariant
 
@@ -263,9 +263,12 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
     classes ``(l0, parts)`` and their moves
     (:func:`~plantedmaps.census._class_moves`), with a tag
     (:func:`_next_tag`) that follows the root cycle until the leaf is known,
-    at ``h3`` at the latest.  Each state's counts per number of sigma-cycles
-    closed are packed as :func:`~plantedmaps.census._slot_width` describes,
-    with the width for ``n``.
+    at ``h3`` at the latest.  From then on the leaf is the tag, and the
+    states under it take the census moves through
+    :func:`~plantedmaps.census._step`.  Each state's counts per number of
+    sigma-cycles closed are packed as
+    :func:`~plantedmaps.census._slot_width` describes, with the width for
+    ``n``.
 
     The classes suffice, for two reasons.  A named chord opens onto the
     frontier's cycle while the frontier is alone on it, and later moves
@@ -307,13 +310,7 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
                     check_invariant(known_leaf, "a one-face scan ended before its leaf was known")
                     ended[leaf] = ended.get(leaf, 0) + done
             if known:
-                out = step.setdefault(tag, {})
-                for state, counts in states.items():
-                    _, opened, closes = _class_moves(state)
-                    if state[0] - 1 + sum(state[1]) < room:  # room left to close the new chord too
-                        out[opened] = out.get(opened, 0) + counts
-                    for target, mult, closed in closes:
-                        out[target] = out.get(target, 0) + (counts * mult << closed * width)
+                _step(states, room, width, step.setdefault(tag, {}))
                 continue
             old = tag[1] if tag[0] == "c" else None
             for state, counts in states.items():

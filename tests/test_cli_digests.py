@@ -4,17 +4,20 @@
 argv, exit code, stdout and stderr, recorded before the census and leaf
 passes were changed to read every smaller size off one pass (the ``show``
 commands, ``export`` past its bound and ``classify`` at 12 edges before the
-leaf pass moved onto the census classes).  The commands:
+leaf pass moved onto the census classes; ``roundtrip`` and the last five
+``show`` maps before the two passes shared one step).  The commands:
 ``count`` of each kind at every edge count up to one past its bound, in
 every format; ``export`` of each kind at its bound, in both formats;
 ``export --kind tri`` one past its bound; ``verify`` of each relation at
 every ``--max-n`` up to one past its bound; ``classify`` at genus 2..5 and
-2..12 edges (12 is one past its bound); ``show`` of a connected two-face
-map and of three maps it refuses; then spellings that argparse accepts
-besides the plain ``command --flag value ...`` form (an abbreviated flag,
-``--flag=value``, flags out of order, a repeated flag, a value that starts
-with ``-``); last, ``ARGPARSE_TEXT``, help and usage errors, whose output
-argparse writes, at 80 columns.
+2..12 edges (12 is one past its bound); ``roundtrip`` of every bijection at
+g 0..2 and n 0..3, and two past their bounds (``eta1`` at n 7, ``cut`` at
+n 6); ``show`` of a connected two-face map and of eight maps it refuses;
+then spellings that argparse accepts besides the plain ``command --flag
+value ...`` form (an abbreviated flag, ``--flag=value``, flags out of
+order, a repeated flag, a value that starts with ``-``); last,
+``ARGPARSE_TEXT``, help and usage errors, whose output argparse writes, at
+80 columns.
 
 Argparse writes the same help and usage bytes on Python 3.10, 3.11 and 3.12
 but other bytes on 3.13 and later, so those entries are compared only below
@@ -34,16 +37,24 @@ from pathlib import Path
 from unittest import mock
 
 from plantedmaps.cli import main
+from plantedmaps.roundtrips import BIJECTION_NAMES
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
-#: A connected two-face map, then a disconnected one, one whose pairs repeat
-#: an id and one with a boolean id, the last three refused with exit 2.
+#: A connected two-face map, then maps refused with exit 2: a disconnected
+#: one, one whose pairs repeat an id, one with a boolean id, malformed JSON,
+#: and alphas with a fixed point, an id paired twice, an unpaired id and a
+#: plant not paired with its root.  No spaces: each line is split on them.
 SHOW_MAPS = (
     '{"k":2,"interiors":[2,2],"alpha":[[0,3],[1,5],[2,6],[4,7]]}',
     '{"k":2,"interiors":[2,2],"alpha":[[0,3],[1,2],[4,7],[5,6]]}',
     '{"k":1,"interiors":[4],"alpha":[[0,5],[1,3],[1,3]]}',
     '{"k":1,"interiors":[4],"alpha":[[0,5],[true,2],[3,4]]}',
+    "{broken",
+    '{"k":1,"interiors":[4],"alpha":[[0,5],[1,1],[2,4]]}',
+    '{"k":1,"interiors":[4],"alpha":[[0,5],[1,3],[3,2]]}',
+    '{"k":1,"interiors":[4],"alpha":[[0,5],[1,3]]}',
+    '{"k":1,"interiors":[4],"alpha":[[0,2],[1,5],[3,4]]}',
 )
 
 
@@ -86,6 +97,12 @@ def commands():
     for genus in range(2, 6):
         for edges in range(2, 13):
             yield ["classify", "--genus", str(genus), "--edges", str(edges)]
+    for name in BIJECTION_NAMES:
+        for g in range(3):
+            for n in range(4):
+                yield ["roundtrip", "--bijection", name, "--g", str(g), "--n", str(n)]
+    yield ["roundtrip", "--bijection", "eta1", "--g", "0", "--n", "7"]
+    yield ["roundtrip", "--bijection", "cut", "--g", "0", "--n", "6"]
     for pairs in SHOW_MAPS:
         yield ["show", "--map", pairs]
     yield from (line.split() for line in SPELLINGS + ARGPARSE_TEXT)

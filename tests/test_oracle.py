@@ -44,6 +44,10 @@ def test_bound_exceeded():
     t = HZTable(6)
     with pytest.raises(BoundExceeded):
         t.u(0, 7)
+    # Each table keeps its own memo: a larger table's entry is not read back.
+    assert HZTable(24).bicellular(0, 6) == 6144
+    with pytest.raises(BoundExceeded, match="n = 7 beyond table bound 6"):
+        t.bicellular(0, 6)
 
 
 def test_u_star():
