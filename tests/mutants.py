@@ -48,6 +48,14 @@ MUTANTS = (
         "out[key] = out.get(key, 0) + counts * mult",
         ("test_census.py", "test_partition.py"),
     ),
+    # Slots one bit short, so that counts carry into each other.  Kept at one
+    # bit or more: a width of 0 leaves _unpack shifting by nothing, forever.
+    (
+        CENSUS,
+        "return pairs.bit_length()",
+        "return max(1, pairs.bit_length() - 1)",
+        ("test_census.py", "test_partition.py"),
+    ),
     # A join counted once per cycle of its length, not once per chord on them.
     (
         CENSUS,
