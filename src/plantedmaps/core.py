@@ -15,10 +15,13 @@ and the face of an id are read from it.
 Inside a block ``gamma(h) = h + 1``, so ``sigma`` is read from slices of
 ``alpha`` without building ``gamma``.  Each map's genus is counted once, from
 the number of ``sigma`` cycles, by a flat walk that labels each half-edge
-with its cycle and stores no cycle.  The count is kept in the instance dict
-by a plain property (:attr:`CellularMap.vertex_count`), not a
-``cached_property``, whose first read takes a lock on Python 3.10 and 3.11;
-the genus of a one-face map does not ask for connectivity.  The labels
+with its cycle and stores no cycle.  The count is kept by a plain property
+(:attr:`CellularMap.vertex_count`) as an attribute set with ``_set``, not
+by a ``cached_property``, whose first read takes a lock on Python 3.10 and
+3.11 and which writes through ``__dict__``: on Python 3.11 and later an
+instance's attributes live in its object until ``__dict__`` is read, so a
+map whose genus was counted carries no instance dict.  The genus of a
+one-face map does not ask for connectivity.  The labels
 (:attr:`CellularMap.vertex_of`) are kept only when a caller asks for them,
 and the cycle tuples (:attr:`CellularMap.vertex_cycles`) are built only for
 ``show``.  Connectivity needs no ``sigma``: it is read from the closure of
@@ -277,12 +280,13 @@ class CellularMap(_Record):
     @property
     def vertex_count(self) -> int:
         """Number of vertices (``sigma`` cycles, plants included), counted
-        once by :func:`_label_vertices` without storing a cycle; kept in the
-        instance dict by hand, with no ``cached_property`` lock."""
-        memo = self.__dict__
-        v = memo.get("_vertex_count")
+        once by :func:`_label_vertices` without storing a cycle; kept as a
+        plain attribute, with no ``cached_property`` lock and no instance
+        dict."""
+        v = getattr(self, "_vertex_count", None)
         if v is None:
-            v = memo["_vertex_count"] = _label_vertices(_sigma(self.faces, self.alpha))[1]
+            v = _label_vertices(_sigma(self.faces, self.alpha))[1]
+            _set(self, "_vertex_count", v)
         return v
 
     @cached_property

@@ -17,6 +17,12 @@ failure), so ``forward(inverse(y)) == forward(x) == y``.
 The ``split5`` codomains are the ordered products of pieces that the
 oracle's convolution counts.  A piece with ``m`` edges has genus at most
 ``m // 2``, so building them costs the same at any ``g``.
+
+A check keeps alive only what it compares.  The domains and codomains are
+read from :func:`uni_maps`, :func:`bi_maps` and :func:`three_face_maps`,
+cached per (genus, n); each walks its census stream once and keeps only
+the maps of its genus, not every genus of the stream.  The image holds
+each distinct part of its tuple elements once (see :func:`_check`).
 """
 
 from __future__ import annotations
@@ -45,30 +51,17 @@ BIJECTION_NAMES = (
 
 
 @lru_cache(maxsize=None)
-def _by_genus(k: int, n: int) -> dict[int, tuple[CellularMap, ...]]:
-    """One pass over the census stream of ``k``-face maps with ``n`` edges,
-    bucketed by genus in stream order.  The three-face pass keeps the
-    disconnected maps and buckets by aggregate genus."""
-    census.check_bound(("uni", "bi", "tri")[k - 1], n, census.ENUMERATION_N_MAX)
-    buckets: dict[int, list[CellularMap]] = {}
-    if k == 3:
-        for m in census.tricellular_stream(n, connected_only=False):
-            buckets.setdefault(m.aggregate_genus(), []).append(m)
-    else:
-        stream = census.unicellular_stream(n) if k == 1 else census.bicellular_stream(n)
-        for m in stream:
-            buckets.setdefault(m.genus(), []).append(m)
-    return {g: tuple(ms) for g, ms in buckets.items()}
-
-
-@lru_cache(maxsize=None)
 def uni_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
-    return _by_genus(1, n).get(genus, ())
+    """The one-face maps with ``n`` edges and the given genus, from one
+    pass over the census stream that keeps only them."""
+    census.check_bound("uni", n, census.ENUMERATION_N_MAX)
+    return tuple(m for m in census.unicellular_stream(n) if m.genus() == genus)
 
 
 @lru_cache(maxsize=None)
 def bi_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
-    return _by_genus(2, n).get(genus, ())
+    census.check_bound("bi", n, census.ENUMERATION_N_MAX)
+    return tuple(m for m in census.bicellular_stream(n) if m.genus() == genus)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +73,9 @@ def tri_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
 def three_face_maps(aggregate_genus: int, n: int) -> tuple[CellularMap, ...]:
     """All planted three-face maps (connected or not) with the given
     aggregate genus; the codomain of the cut surgery."""
-    return _by_genus(3, n).get(aggregate_genus, ())
+    census.check_bound("tri", n, census.ENUMERATION_N_MAX)
+    stream = census.tricellular_stream(n, connected_only=False)
+    return tuple(m for m in stream if m.aggregate_genus() == aggregate_genus)
 
 
 @lru_cache(maxsize=None)
@@ -112,19 +107,23 @@ def _check(domain, forward, inverse, codomain, failures: list[str], what: str) -
     violation and return the domain and image sizes.
 
     One pass over the domain calls the surgeries and collects the image.
-    The codomain is then matched against it, each element taking one image
-    element away: a codomain element with none left to take (absent from
-    the image, or repeated) is missed, and an image element never taken is
-    outside the codomain.  As the module docstring argues, this also
-    settles ``forward(inverse(y)) == y`` on the codomain.
+    The parts of a tuple image element (a map and its marks, or split
+    pieces) go into the image through ``shared``, so that equal parts from
+    different domain elements are held once; ``inverse`` still gets the
+    element ``forward`` returned.  The codomain is then matched against the
+    image, each element taking one image element away: a codomain element
+    with none left to take (absent from the image, or repeated) is missed,
+    and an image element never taken is outside the codomain.  As the
+    module docstring argues, this also settles ``forward(inverse(y)) == y``
+    on the codomain.
     """
-    size, image, repeats = 0, set(), 0
+    size, image, repeats, shared = 0, set(), 0, {}
     for x in domain:
         size += 1
         try:
             y = forward(x)
             before = len(image)
-            image.add(y)
+            image.add(tuple(map(shared.setdefault, y, y)) if type(y) is tuple else y)
             repeats += len(image) == before
             if inverse(y) != x:
                 failures.append(f"{what}: inverse(forward(x)) != x for {_show(x)}")

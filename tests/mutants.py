@@ -31,6 +31,8 @@ CENSUS = "src/plantedmaps/census.py"
 PARTITION = "src/plantedmaps/partition.py"
 ORACLE = "src/plantedmaps/oracle.py"
 CORE = "src/plantedmaps/core.py"
+CLI = "src/plantedmaps/cli.py"
+ROUNDTRIPS = "src/plantedmaps/roundtrips.py"
 
 #: ``(file, old text, new text, test files that must each catch it)``.
 MUTANTS = (
@@ -147,6 +149,55 @@ MUTANTS = (
         "if self.faces.k > 1 and not self.is_connected:",
         "if not self.is_connected:",
         ("test_core.py",),
+    ),
+    # core._build: the check for an id in two face positions dropped, then the
+    # check that the face words are closed under the pairing.
+    (
+        CORE,
+        "if countOf(new_of, -1) != len(alpha) - len(seq):",
+        "if False:",
+        ("test_bijections.py",),
+    ),
+    (
+        CORE,
+        "if -1 in partner:",
+        "if False:",
+        ("test_bijections.py",),
+    ),
+    # core._fill: a pair that does not unpack into two ids escapes as ValueError.
+    (
+        CORE,
+        "except (IndexError, TypeError, ValueError):",
+        "except (IndexError, TypeError):",
+        ("test_core.py",),
+    ),
+    # core.from_np_pairs: a pair of the wrong length let through.
+    (
+        CORE,
+        "if len(ints) != 2:",
+        "if False:",
+        ("test_core.py",),
+    ),
+    # CellularMap.__eq__ ignoring the face layout.
+    (
+        CORE,
+        "return self.alpha == other.alpha and (faces is other.faces or faces == other.faces)",
+        "return self.alpha == other.alpha",
+        ("test_core.py",),
+    ),
+    # cli._plain_args: a value outside its option's choices read off the table.
+    (
+        CLI,
+        'if "choices" in spec and value not in spec["choices"]:',
+        "if False:",
+        ("test_cli.py", "test_cli_digests.py"),
+    ),
+    # roundtrips._check: each image element kept with its own copies of its parts.
+    (
+        ROUNDTRIPS,
+        "image.add(tuple(map(shared.setdefault, y, y)) if type(y) is tuple else y)",
+        "image.add(y)",
+        ("test_roundtrips.py",),
     ),
 )
 

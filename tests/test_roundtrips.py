@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
 from plantedmaps import census, oracle, partition, roundtrips
+from plantedmaps.core import CellularMap
 from plantedmaps.census import bicellular_stream, tricellular_stream, unicellular_stream
 from plantedmaps.roundtrips import bi_maps, three_face_maps, tri_maps, uni_maps
 
@@ -22,11 +26,13 @@ def test_three_face_buckets_equal_the_filtered_streams(n):
 
 
 def _clear_caches():
-    for fn in (uni_maps, bi_maps, tri_maps, three_face_maps, roundtrips._by_genus):
+    for fn in (uni_maps, bi_maps, tri_maps, three_face_maps, roundtrips.maps_by_class):
         fn.cache_clear()
 
 
-def test_each_stream_is_walked_once_per_edge_count(monkeypatch):
+def test_each_stream_is_walked_once_per_genus_and_edge_count(monkeypatch):
+    # Each (genus, n) asked walks its stream once and keeps only that genus;
+    # a repeated call walks nothing.
     passes = []
 
     def counted(name):
@@ -42,18 +48,22 @@ def test_each_stream_is_walked_once_per_edge_count(monkeypatch):
         counted(name)
     _clear_caches()
     try:
-        for g in range(3):
-            uni_maps(g, 4)
-            bi_maps(g, 3)
-            tri_maps(g, 3)
-            three_face_maps(g - 1, 3)
+        for _ in range(2):
+            for g in range(3):
+                uni_maps(g, 4)
+                bi_maps(g, 3)
+                tri_maps(g, 3)
+                three_face_maps(g - 1, 3)
     finally:
         _clear_caches()
-    assert passes == [
+    uni, bi, tri = (
         ("unicellular_stream", (4,), {}),
         ("bicellular_stream", (3,), {}),
         ("tricellular_stream", (3,), {"connected_only": False}),
-    ]
+    )
+    # tri_maps(g, 3) walks for three_face_maps(g, 3); three_face_maps(g - 1, 3)
+    # walks only at g = 0, for aggregate genus -1.
+    assert passes == [uni, bi, tri, tri] + [uni, bi, tri] * 2
 
 
 def test_check_matches_the_codomain_one_to_one():
@@ -77,6 +87,64 @@ def test_check_matches_the_codomain_one_to_one():
             "abs: image misses 1 of the 3 codomain elements and adds 0 (image has 2)",
         ],
     )
+
+
+def _live(cls, keep) -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls and keep(obj))
+
+
+def test_a_genus_keeps_only_its_own_maps():
+    # 945 one-face maps have 5 edges, 483 of them of genus 2; the others are
+    # dropped as the stream is walked.
+    _clear_caches()
+    five_edges = lambda m: m.k == 1 and m.np_edge_count == 5  # noqa: E731
+    before = _live(CellularMap, five_edges)
+    try:
+        maps = uni_maps(2, 5)
+        assert len(maps) == 483
+        assert _live(CellularMap, five_edges) - before == 483
+    finally:
+        _clear_caches()
+
+
+class _Part:
+    """An image part that compares by value, so that forward can return a
+    fresh copy of an equal part each time."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def test_check_holds_each_distinct_image_part_once():
+    # Forward returns fresh parts; the four distinct values among the ten
+    # parts of the image are held once each.  The last domain element brings
+    # new values, so the parts that _check's last ``y`` still refers to are
+    # the held copies.
+    domain = [(0, 1), (1, 0), (0, 0), (1, 1), (2, 3)]
+    refs, live = [], []
+
+    def forward(x):
+        y = (_Part(x[0]), _Part(x[1]))
+        refs.extend(map(weakref.ref, y))
+        return y
+
+    def codomain():
+        gc.collect()
+        live.append(sum(1 for ref in refs if ref() is not None))
+        for a, b in domain:
+            yield _Part(a), _Part(b)
+
+    failures: list[str] = []
+    inverse = lambda y: (y[0].value, y[1].value)  # noqa: E731
+    assert roundtrips._check(domain, forward, inverse, codomain(), failures, "parts") == (5, 5)
+    assert failures == [] and live == [4]
 
 
 @pytest.mark.parametrize("n", range(5))
