@@ -21,9 +21,10 @@ builds a map writes its output as face words over the input's half-edges
 builder of :mod:`plantedmaps.core`, ``_build``, which relabels each id by
 its position in the words.  The builder checks that no id repeats, that the
 words are closed under the pairing and that each root is paired with its
-plant; every operation also checks its genus and edge-count bookkeeping.
-All of these raise :class:`~plantedmaps.core.InvariantError`, also under
-``python -O``; outputs are canonical maps.
+plant; every operation also checks its genus and edge-count bookkeeping,
+and ``theta`` and ``split5`` that their pieces are connected.  All of these
+raise :class:`~plantedmaps.core.InvariantError`, also under ``python -O``;
+outputs are canonical maps.
 """
 
 from __future__ import annotations
@@ -342,8 +343,7 @@ def theta(u: CellularMap) -> CellularMap:
     if pc.leaf != "II":
         raise WrongClass(f"theta applies to class II, got {pc.leaf}")
     out = cut(u).map
-    if not out.is_connected:
-        raise Disconnected("cut of a class II map must be connected")
+    check_invariant(out.is_connected, "cut of a class II map must be connected")
     check_invariant(out.genus() == u.genus() - 2, "theta must lower the genus by two")
     return out
 
@@ -380,8 +380,7 @@ def split5(i: int, u: CellularMap):
         return pieces
     uni = _build(u.alpha, (cycles[i - 1],))
     bi = _build(u.alpha, [c for j, c in enumerate(cycles) if j != i - 1])
-    if not bi.is_connected:
-        raise Disconnected("two-face piece must be connected")
+    check_invariant(bi.is_connected, "the two-face piece of split5 must be connected")
     check_invariant(uni.np_edge_count >= 1, "the one-face piece of split5 must be nontrivial")
     check_invariant(uni.genus() + bi.genus() == u.genus() - 1, "split5 must lower the genus by one")
     return uni, bi

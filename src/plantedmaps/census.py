@@ -34,9 +34,11 @@ open cannot all close by ``2n``; a prefix that closes them all by ``2a``
 never meets that, so the pass to ``2n`` keeps every prefix of the pass to
 ``2a`` with the same moves and the same cycles closed, and its slot width
 holds their counts (:func:`_slot_width`).  So :func:`_cycle_census` keeps
-the largest pass per face count, the leaf pass reads its smaller sizes off
-the same way (:func:`plantedmaps.partition._leaf_pass`), and the range
-drivers ask for their largest size first.
+the largest pass per face count, and reads size ``a`` off the state ``(1,
+())``, the frontier alone with no chord open, after the step at ``2a``.
+The leaf pass reads each size off the same state at the same point, once
+per tag (:func:`plantedmaps.partition._leaf_pass`), and the range drivers
+ask for their largest size first.
 """
 
 from __future__ import annotations

@@ -14,10 +14,8 @@ theorem --max-n 2`` touches one-face maps of genus 2 with 4 edges).
 :func:`main` may be called many times in one process.  A well-formed
 command line (the command, then ``--flag value`` pairs) is read straight
 off the option table, ``_COMMANDS``, with no argparse parser.  Any other
-line (help, a usage error, another spelling argparse accepts) goes to the
-parser, which is built on first need and shared by every later call
-(``parse_args`` keeps no state between calls), so a handler must not
-change it.
+line (help, a usage error, another spelling argparse accepts) goes to an
+argparse parser that :func:`build_parser` builds for that call alone.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 
 from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.core import InvariantError, MapError, decode
@@ -194,8 +191,9 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """A new argparse parser for the commands of ``_COMMANDS``, for the
+    lines that :func:`_plain_args` leaves to argparse."""
     parser = argparse.ArgumentParser(
         prog="plantedmaps",
         description="Exact census, partition and bijection checks for planted cellular maps.",

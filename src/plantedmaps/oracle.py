@@ -20,17 +20,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from plantedmaps import census, partition
-from plantedmaps.core import BoundExceeded, MapError
+from plantedmaps.core import BoundExceeded, check_invariant
 
 DEFAULT_N_MAX = 32
-
-
-class NonIntegralRecurrence(MapError):
-    pass
-
-
-class NegativeCount(MapError):
-    pass
 
 
 class HZTable:
@@ -41,7 +33,9 @@ class HZTable:
     :class:`BoundExceeded`.  The two-face counts and the splits are
     memoised by ``lru_cache`` as they are asked for.  The cache key holds
     the table, so each table keeps its own entries (and the cache keeps
-    every table it has seen).
+    every table it has seen).  A recurrence step that ``n + 1`` does not
+    divide, or a negative two-face count, is a fault of this table, not of
+    any input: both raise :class:`~plantedmaps.core.InvariantError`.
     """
 
     def __init__(self, n_max: int = DEFAULT_N_MAX):
@@ -54,8 +48,7 @@ class HZTable:
                 num = 2 * (2 * n - 1) * self._get(g, n - 1) + (2 * n - 1) * (n - 1) * (
                     2 * n - 3
                 ) * self._get(g - 1, n - 2)
-                if num % (n + 1):
-                    raise NonIntegralRecurrence(f"(n+1) does not divide at (g,n)=({g},{n})")
+                check_invariant(num % (n + 1) == 0, f"(n+1) does not divide at (g,n)=({g},{n})")
                 self._u[(g, n)] = num // (n + 1)
 
     def _get(self, g: int, n: int) -> int:
@@ -87,8 +80,7 @@ class HZTable:
         if g < 0 or n < 0:
             return 0
         b = self.u(g + 1, n + 1) - self._conv(self.u, self.u, g + 1, n)
-        if b < 0:
-            raise NegativeCount(f"negative two-face count at (g,n)=({g},{n})")
+        check_invariant(b >= 0, f"negative two-face count at (g,n)=({g},{n})")
         return b
 
     @lru_cache(maxsize=None)

@@ -224,33 +224,40 @@ class PartitionHistogram(_Record):
         return sum(self.classes.values())
 
 
-def _next_tag(tag, target: _Class, p: int, last: int):
-    """The tag of a scan state after position ``p`` of ``1..last`` moves it
+def _next_tag(tag, source: _Class, target: _Class):
+    """The tag of a scan state that a move takes from the class ``source``
     to the class ``target``.
 
     The tag names a chord, the last on the frontier's cycle, that closes on
-    the one move to ``l0 == 1`` (see :func:`_leaf_pass`).  The root chord
-    ``(1, h2)`` is named while the tag is ``("a",)``.  When it closes at
-    ``h2``, leaving the cycles ``old``, the tag is ``("b", old, h2 == 2)``.
-    Position ``h2 + 1`` then opens chord ``t``, the one move to ``(2,
-    old)``, or closes a chord (class B).  The tag is then ``("c", old,
-    fresh, h2 == 2)``, with ``old`` set to ``None`` once a chord open at
-    ``h2 + 1`` has closed (it crossed into branch 2), and ``fresh`` while
-    chord ``t`` opened at the previous position.  When chord ``t`` closes at
-    ``h3`` the leaf is known and becomes the tag.
+    the one move to ``l0 == 1`` (see :func:`_leaf_pass`):
+
+    - ``("a", fresh)`` names the root chord ``(1, h2)``, ``fresh`` while it
+      opened on the move before, from ``(1, ())``.
+    - ``("b", old, h2 == 2)``: the root chord closed at ``h2``, leaving the
+      cycles ``old``.  Position ``h2 + 1`` then opens chord ``t``, the one
+      move to ``(2, old)``, or closes a chord (class B).
+    - ``("c", old, fresh, h2 == 2)`` names chord ``t``, with ``old`` set to
+      ``None`` once a chord open at ``h2 + 1`` has closed (it crossed into
+      branch 2), and ``fresh`` while chord ``t`` opened on the move before.
+      When chord ``t`` closes at ``h3`` with a chord still open, the leaf is
+      known and becomes the tag.
+    - ``("d", branch, u2)``: chord ``t`` closed at ``h3`` with no chord left
+      open.  The next move is an opening, and the leaf is ``branch``; a map
+      that ends at ``h3`` has root degree 3, and its leaf is ``u2``.
     """
+    if tag[0] == "d":
+        return tag[1]
     if tag[0] == "b":
         return ("c", tag[1], True, tag[2]) if target == (2, tag[1]) else _pc("B")
     if target[0] != 1:
-        return tag if tag[0] == "a" else ("c", tag[1], False, tag[3])
+        return ("a", source == (1, ())) if tag[0] == "a" else ("c", tag[1], False, tag[3])
     if tag[0] == "a":
-        return _pc("U1") if p == last else ("b", target[1], p == 2)
+        return ("b", target[1], tag[1])
     _, old, fresh, len1_2 = tag
-    if p == last:
-        return _pc("U2", len1_2, fresh)
     # A branch is closed when no chord is open at its end, and for branch 2
     # also none crossed into it: the class then holds the old cycles alone.
-    return _branch_class(old == (), target[1] == old, target == (1, ()), len1_2, fresh)
+    leaf = _branch_class(old == (), target[1] == old, target == (1, ()), len1_2, fresh)
+    return ("d", leaf, _pc("U2", len1_2, fresh)) if target == (1, ()) else leaf
 
 
 def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
@@ -263,7 +270,7 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
     classes ``(l0, parts)`` and their moves
     (:func:`~plantedmaps.census._class_moves`), with a tag
     (:func:`_next_tag`) that follows the root cycle until the leaf is known,
-    at ``h3`` at the latest.  From then on the leaf is the tag, and the
+    at ``h3 + 1`` at the latest.  From then on the leaf is the tag, and the
     states under it take the census moves through
     :func:`~plantedmaps.census._step`.  Each state's counts per number of
     sigma-cycles closed are packed as
@@ -280,36 +287,26 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
     ``old`` in the class, and of the ``length * parts.count(length)`` joins
     of a cycle of some length, ``length * old.count(length)`` cross.
 
-    Each size ``a`` is read at position ``p = 2a``, where closing the one
-    open chord of a state ends a map of ``a`` edges.  That map's leaf is
-    the state's tag taken with the end at ``p``: U1 when the root chord
-    closes there, U2 when chord ``t`` does.  The state that goes on, for
-    ``a < n``, takes the tag for the end at ``2n``.  A pass to ``2n`` keeps
-    every prefix of a pass to ``2a``, with the same tags before ``p`` (see
-    the :mod:`~plantedmaps.census` notes), so both count these maps alike.
+    Each size ``a`` is read after the step at position ``p = 2a``, as the
+    census pass reads it: the state ``(1, ())``, the frontier alone with no
+    chord open, holds the maps of ``a`` edges.  Under a known leaf they
+    have that leaf; under tag ``b`` the root chord closed at ``p``, so they
+    are U1; under tag ``d`` chord ``t`` did, so they are its U2 leaf.  The
+    same states go on, for ``a < n``, with the same tags.  A pass to ``2n``
+    keeps every prefix of a pass to ``2a``, with the same tags (see the
+    :mod:`~plantedmaps.census` notes), so both count these maps alike.
     Every map that ends must have a leaf, and no chord may be left open at
     ``2n``; both checks raise :class:`~plantedmaps.core.InvariantError`.
     """
     last = 2 * n
     width = _slot_width(1, n)
     sizes: list[dict[tuple[int, str], int]] = [{}]
-    layer: dict = {("a",): {(1, ()): 1}}
+    layer: dict = {("a", False): {(1, ()): 1}}
     for p in range(1, last + 1):
         room = last - p
-        ended: dict[PartitionClass, int] = {}
         step: dict = {}
         for tag, states in layer.items():
-            known = isinstance(tag, PartitionClass)
-            if p % 2 == 0:
-                # Closing the one open chord ends a map of p / 2 edges: from
-                # (2, ()) it closes a cycle, from (1, (1,)) it does not.
-                done = (states.get((2, ()), 0) << width) + states.get((1, (1,)), 0)
-                if done:
-                    leaf = tag if known else _next_tag(tag, (1, ()), p, p)
-                    known_leaf = isinstance(leaf, PartitionClass)
-                    check_invariant(known_leaf, "a one-face scan ended before its leaf was known")
-                    ended[leaf] = ended.get(leaf, 0) + done
-            if known:
+            if isinstance(tag, PartitionClass):
                 _step(states, room, width, step.setdefault(tag, {}))
                 continue
             old = tag[1] if tag[0] == "c" else None
@@ -318,13 +315,13 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
                 l0, parts = state
                 moves = []
                 if l0 - 1 + sum(parts) < room:  # room left to close the new chord too
-                    moves.append((opened, 1, 0, _next_tag(tag, opened, p, last)))
+                    moves.append((opened, 1, 0, _next_tag(tag, state, opened)))
                 for target, mult, closed in closes:
                     length = target[0] + 1 - l0  # of the cycle a join adds; below 1 for a cut
                     crossing = length * old.count(length) if old else 0
                     if crossing:
                         moves.append((target, crossing, 0, ("c", None, False, tag[3])))
-                    moves.append((target, mult - crossing, closed, _next_tag(tag, target, p, last)))
+                    moves.append((target, mult - crossing, closed, _next_tag(tag, state, target)))
                 for target, mult, closed, new in moves:
                     if mult:
                         out = step.setdefault(new, {})
@@ -332,7 +329,11 @@ def _leaf_pass(n: int) -> list[dict[tuple[int, str], int]]:
         layer = step
         if p % 2 == 0:
             tally: dict[tuple[int, str], int] = {}
-            for leaf, packed in ended.items():
+            for tag, states in layer.items():
+                # The maps that end here: U1 under tag b, the U2 leaf under tag d.
+                leaf = {"b": _pc("U1"), "d": tag[-1]}.get(tag[0]) if type(tag) is tuple else tag
+                packed = states.get((1, ()), 0)
+                check_invariant(leaf or not packed, "a one-face scan ended before its leaf was known")
                 for closed, c in enumerate(_unpack(packed, width)):
                     if not c:
                         continue

@@ -21,7 +21,8 @@ oracle's convolution counts.  A piece with ``m`` edges has genus at most
 A check keeps alive only what it compares.  The domains and codomains are
 read from :func:`uni_maps`, :func:`bi_maps` and :func:`three_face_maps`,
 cached per (genus, n); each walks its census stream once and keeps only
-the maps of its genus, not every genus of the stream.  The image holds
+the maps of its genus, not every genus of the stream.  A genus that no map
+with ``n`` edges has, ``2 * genus > n``, walks no stream.  The image holds
 each distinct part of its tuple elements once (see :func:`_check`).
 """
 
@@ -55,12 +56,16 @@ def uni_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
     """The one-face maps with ``n`` edges and the given genus, from one
     pass over the census stream that keeps only them."""
     census.check_bound("uni", n, census.ENUMERATION_N_MAX)
+    if 2 * genus > n:  # 2g = n + 1 - k - closed <= n for any face count k
+        return ()
     return tuple(m for m in census.unicellular_stream(n) if m.genus() == genus)
 
 
 @lru_cache(maxsize=None)
 def bi_maps(genus: int, n: int) -> tuple[CellularMap, ...]:
     census.check_bound("bi", n, census.ENUMERATION_N_MAX)
+    if 2 * genus > n:
+        return ()
     return tuple(m for m in census.bicellular_stream(n) if m.genus() == genus)
 
 
@@ -74,6 +79,8 @@ def three_face_maps(aggregate_genus: int, n: int) -> tuple[CellularMap, ...]:
     """All planted three-face maps (connected or not) with the given
     aggregate genus; the codomain of the cut surgery."""
     census.check_bound("tri", n, census.ENUMERATION_N_MAX)
+    if 2 * aggregate_genus > n:
+        return ()
     stream = census.tricellular_stream(n, connected_only=False)
     return tuple(m for m in stream if m.aggregate_genus() == aggregate_genus)
 

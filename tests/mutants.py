@@ -123,6 +123,30 @@ MUTANTS = (
         'if target[0] == 2 else _pc("B")',
         ("test_partition.py",),
     ),
+    # Tag a blind to the root chord's opening on the move before, so no U1
+    # or U2 map has a first branch of one pair.
+    (
+        PARTITION,
+        '("a", source == (1, ()))',
+        '("a", False)',
+        ("test_partition.py",),
+    ),
+    # Chord t closing with no chord left open taken as the branch leaf at
+    # once, so a map that ends there is never U2.
+    (
+        PARTITION,
+        'return ("d", leaf, _pc("U2", len1_2, fresh)) if target == (1, ()) else leaf',
+        "return leaf",
+        ("test_partition.py",),
+    ),
+    # oracle: a negative two-face count let through, so verify reports a
+    # mismatch row and no error line.
+    (
+        ORACLE,
+        "check_invariant(b >= 0,",
+        "check_invariant(True,",
+        ("test_cli.py",),
+    ),
     # oracle: the triple split recomputed on every call.
     (
         ORACLE,
@@ -191,6 +215,13 @@ MUTANTS = (
         'if "choices" in spec and value not in spec["choices"]:',
         "if False:",
         ("test_cli.py", "test_cli_digests.py"),
+    ),
+    # roundtrips.uni_maps: a genus one or two past n // 2 still walks its stream.
+    (
+        ROUNDTRIPS,
+        "if 2 * genus > n:  # 2g",
+        "if 2 * genus > n + 2:  # 2g",
+        ("test_roundtrips.py",),
     ),
     # roundtrips._check: each image element kept with its own copies of its parts.
     (

@@ -63,6 +63,8 @@ def test_contract_errors():
     crossing = mk((1, 1), (1, 2))  # pair spans the two faces: ids 1 and 4
     with pytest.raises(bij.TwoSided):
         bij.contract(crossing, (1, 4))
+    with pytest.raises(ValidationError, match="contract expects a one-face map"):
+        bij.contract(mk((2, 2), (1, 3), (2, 4)), (1, 2))  # ids 1 and 2 share a face
 
 
 def test_insert_edge_examples():
@@ -78,6 +80,8 @@ def test_insert_edge_errors():
     # marks in different vertices would change the genus
     with pytest.raises(ValidationError):
         bij.insert_edge(uni(1, (1, 2)), 0, 1)
+    with pytest.raises(ValidationError, match="insert_edge expects a one-face map"):
+        bij.insert_edge(mk((2, 2), (1, 3), (2, 4)), 0, 0)
 
 
 def test_contract_insert_roundtrip_all_pairs_small():
@@ -385,3 +389,38 @@ def test_surgeries_on_random_maps(n):
         g = _euler_genus(u)
         genus_sum = sum(_euler_genus(p) for p in pieces)
         assert genus_sum == (g if i == 4 else g - 1)
+
+
+_ONE = uni(2, (1, 3), (2, 4))  # class B
+_TWO = mk((2, 2), (1, 3), (2, 4))
+_TWO_APART = mk((2, 2), (1, 2), (3, 4))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: bij.glue(_ONE), ValidationError, "exactly three faces"),
+        (lambda: bij.theta_inv(_ONE), bij.WrongClass, "three faces"),
+        (lambda: bij.join5(1, (_ONE, _ONE)), bij.WrongClass, "expected a two-face piece"),
+        (lambda: bij.join5(1, (_ONE, _TWO_APART)), Disconnected, "must be connected"),
+        (lambda: bij.insert_pair(_TWO, 0, 0), ValidationError, "insert_pair expects a one-face map"),
+        (lambda: bij.eta(8, _ONE), ValueError, "eta index must be 1..7, got 8"),
+        (lambda: bij.eta_inv(0, _ONE), ValueError, "eta index must be 1..7, got 0"),
+        (lambda: bij.join5(5, (_ONE, _TWO)), ValueError, "split index must be 1..4, got 5"),
+        (lambda: bij.theta(_ONE), bij.WrongClass, "theta applies to class II, got B"),
+    ],
+    ids=[
+        "glue_one_face",
+        "theta_inv_one_face",
+        "join5_two_one_face_pieces",
+        "join5_disconnected_piece",
+        "insert_pair_two_faces",
+        "eta_index",
+        "eta_inv_index",
+        "join5_index",
+        "theta_class_b",
+    ],
+)
+def test_surgeries_refuse_inputs_outside_their_domain(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import plantedmaps
-from plantedmaps import bijections, census, partition, roundtrips
+from plantedmaps import bijections, census, cli, oracle, partition, roundtrips
 from plantedmaps.cli import _COMMANDS, _plain_args, build_parser, main
 from plantedmaps.core import InvariantError, from_np_pairs
 
@@ -162,9 +162,8 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_calls_in_one_process_share_one_parser(capsys):
-    # The parser is built for the first help or usage call and reused; a
-    # usage error, a bound error, help and other commands in between leave
-    # it as it was.
+    # Each help or usage call builds its own parser; a usage error, a bound
+    # error, help and other commands in between leave no state behind.
     count = ["count", "--kind", "uni", "--edges", "5"]
     argvs = [
         count,
@@ -185,7 +184,6 @@ def test_calls_in_one_process_share_one_parser(capsys):
     assert codes == [0, 2, 2, 0, 0, 0, 0]
     assert outs[0] == outs[6] and "0 5 42" in outs[0].splitlines()
     assert outs[3] == outs[5] and outs[3].startswith("usage: plantedmaps")
-    assert build_parser() is build_parser()
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
@@ -315,8 +313,9 @@ def test_plain_path_agrees_with_argparse_on_drawn_lines():
     assert len(accepted) >= 100
 
 
-def test_well_formed_commands_build_no_parser(capsys):
-    build_parser.cache_clear()
+def test_well_formed_commands_build_no_parser(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
     for argv in (
         ["count", "--kind", "uni", "--edges", "7"],
         ["count", "--kind", "bi", "--edges", "5"],
@@ -326,7 +325,10 @@ def test_well_formed_commands_build_no_parser(capsys):
     ):
         assert main(argv) == 0
     capsys.readouterr()
-    assert build_parser.cache_info().misses == 0
+    assert built == []
+    # Any other spelling goes through the parser, built for that call.
+    assert main(["count", "--kind=uni", "--edges", "3"]) == 0
+    assert built == [1] and capsys.readouterr().out.splitlines()[-1] == "1 3 10"
 
 
 def test_well_formed_command_loads_no_locale():
@@ -572,3 +574,18 @@ def test_invariant_error_exits_1_with_one_error_line(capsys, monkeypatch):
     monkeypatch.setattr(partition, "histogram", histogram)
     code, out, err = run(capsys, "classify", "--genus", "2", "--edges", "4")
     assert (code, out, err) == (1, "", "error: two closed branches are impossible\n")
+
+
+def test_a_negative_recurrence_count_is_a_failed_check(capsys, monkeypatch):
+    # No input reaches a negative two-face count: it is the oracle's fault,
+    # exit 1 with one error line, not invalid input.
+    monkeypatch.setattr(oracle.HZTable, "_conv", lambda self, f, h, g, n: 10**6)
+    oracle.table.cache_clear()
+    oracle.HZTable.bicellular.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "--relation", "bicellular", "--max-n", "2")
+    finally:
+        oracle.table.cache_clear()
+        oracle.HZTable.bicellular.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == "error: negative two-face count at (g,n)=(0,0)\n"

@@ -135,6 +135,8 @@ def test_bicellular_connectivity():
     assert not isolated.is_connected
     with pytest.raises(Disconnected):
         isolated.kind()
+    with pytest.raises(Disconnected, match="genus requires a connected map"):
+        isolated.genus()
     crossing = mk((1, 1), (1, 2))
     assert crossing.is_connected
     assert crossing.kind() == "bicellular"
@@ -251,8 +253,20 @@ def test_canonicalize_rejects_unfixed_plant():
         # is alpha(2) = 4, at position 3; the fixed id 5 is at position 1.
         (((0, 1, 2, 4, 3),), {0: 3, 3: 0, 1: 2, 2: 4, 4: 1}, NotInvolution, "alpha(alpha(1)) = 4 != 1"),
         (((0, 5, 7, 3),), {0: 3, 3: 0, 5: 5, 7: 7}, HasFixedPoint, "fixes half-edge 5"),
+        (((0, 1), (2, 3)), {0: 1, 1: 0, 2: 3, 3: 2}, SizeMismatch, "expected 1 cycles, got 2"),
+        (((0,),), {0: 0}, ValidationError, "at least a root and a plant"),
+        (((0, 1),), {0: 1, 1: 0, 2: 3, 3: 2}, SizeMismatch, "alpha domain differs"),
     ],
-    ids=["leaves_the_cycles", "repeated_id", "fixed_point", "not_involution", "fixed_point_relabelled"],
+    ids=[
+        "leaves_the_cycles",
+        "repeated_id",
+        "fixed_point",
+        "not_involution",
+        "fixed_point_relabelled",
+        "cycle_count",
+        "short_cycle",
+        "alpha_domain",
+    ],
 )
 def test_canonicalize_rejects_malformed_alpha(cycles, alpha, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
@@ -330,6 +344,12 @@ def test_decode_errors():
         decode('{"k":1,"interiors":[2],"alpha":[[0,3],[1,1],[2,2]]}')
     with pytest.raises(ValidationError):
         decode('{"k":1,"interiors":[2],"alpha":[[0,1],[2,3]]}')
+    with pytest.raises(ParseError, match="expected a JSON object"):
+        decode("[1]")
+    with pytest.raises(ParseError, match="missing field 'alpha'"):
+        decode('{"k":1,"interiors":[0]}')
+    with pytest.raises(ParseError, match="alpha must be a list of id pairs"):
+        decode('{"k":1,"interiors":[0],"alpha":3}')
 
 
 def test_decode_reports_pair_shape_before_size():

@@ -48,6 +48,10 @@ def test_bound_exceeded():
     assert HZTable(24).bicellular(0, 6) == 6144
     with pytest.raises(BoundExceeded, match="n = 7 beyond table bound 6"):
         t.bicellular(0, 6)
+    with pytest.raises(BoundExceeded, match="n_max must be non-negative"):
+        HZTable(-1)
+    with pytest.raises(BoundExceeded, match="g and n must be non-negative"):
+        oracle.verify_theorem(0, -1)
 
 
 def test_u_star():

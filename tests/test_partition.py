@@ -163,6 +163,8 @@ def test_histogram_totals_match_recurrence():
 def test_histogram_bound():
     with pytest.raises(BoundExceeded):
         histogram(0, 10)
+    with pytest.raises(BoundExceeded, match="g and n must be non-negative"):
+        histogram(-1, 0)
 
 
 def test_degenerate_double_pendant_is_u2_with_both_flags():

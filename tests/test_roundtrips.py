@@ -32,7 +32,7 @@ def _clear_caches():
 
 def test_each_stream_is_walked_once_per_genus_and_edge_count(monkeypatch):
     # Each (genus, n) asked walks its stream once and keeps only that genus;
-    # a repeated call walks nothing.
+    # a repeated call, or a genus past n // 2, walks nothing.
     passes = []
 
     def counted(name):
@@ -62,8 +62,27 @@ def test_each_stream_is_walked_once_per_genus_and_edge_count(monkeypatch):
         ("tricellular_stream", (3,), {"connected_only": False}),
     )
     # tri_maps(g, 3) walks for three_face_maps(g, 3); three_face_maps(g - 1, 3)
-    # walks only at g = 0, for aggregate genus -1.
-    assert passes == [uni, bi, tri, tri] + [uni, bi, tri] * 2
+    # walks only at g = 0, for aggregate genus -1.  At g = 2 only uni_maps(2, 4)
+    # walks: bi_maps(2, 3) and three_face_maps(2, 3) have no map to find.
+    assert passes == [uni, bi, tri, tri, uni, bi, tri, uni]
+
+
+def test_a_genus_no_map_can_have_walks_no_stream(monkeypatch):
+    # 2g = n + 1 - k - closed <= n for any face count k and any pairing.
+    def walked(*args, **kwargs):
+        raise RuntimeError("a stream was walked")
+
+    for name in ("unicellular_stream", "bicellular_stream", "tricellular_stream"):
+        monkeypatch.setattr(census, name, walked)
+    _clear_caches()
+    try:
+        for n in range(6):
+            for g in (n // 2 + 1, n + 1, 1000):
+                found = (uni_maps(g, n), bi_maps(g, n), tri_maps(g, n), three_face_maps(g, n))
+                assert found == ((),) * 4, (g, n)
+                assert roundtrips.maps_by_class(g - 2, n - 2)["ALL"] == (), (g, n)
+    finally:
+        _clear_caches()
 
 
 def test_check_matches_the_codomain_one_to_one():
@@ -197,3 +216,8 @@ def test_split_codomains_and_convolutions_stop_at_the_largest_genus(monkeypatch)
     monkeypatch.setattr(oracle.HZTable, "u", budgeted(oracle.HZTable.u))
     assert roundtrips.roundtrip("split5", 10**4, 4)["domain_size"] == 0
     assert oracle.verify_theorem(10**4, 0)["ok"]
+
+
+def test_an_unknown_bijection_name_is_refused():
+    with pytest.raises(ValueError, match="unknown bijection 'nope'"):
+        roundtrips._checks("nope", 0, 1)
