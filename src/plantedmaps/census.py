@@ -43,7 +43,6 @@ ask for their largest size first.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from functools import lru_cache
 from math import comb, prod
@@ -360,6 +359,8 @@ class CountTable(_Record):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         table = [{"g": g, "n": n, "count": str(c)} for g, n, c in self.rows()]
         return json.dumps({"kind": self.kind, "table": table}, separators=(",", ":"))
 

@@ -16,13 +16,18 @@ command line (the command, then ``--flag value`` pairs) is read straight
 off the option table, ``_COMMANDS``, with no argparse parser.  Any other
 line (help, a usage error, another spelling argparse accepts) goes to an
 argparse parser that :func:`build_parser` builds for that call alone.
+Handlers get a ``types.SimpleNamespace`` on both paths.
+
+``argparse`` is imported only by :func:`build_parser`, and ``json`` only by
+the commands that read or write JSON (:func:`_emit_json`, ``decode`` and
+``CountTable.to_json``).  Both pull in ``re`` and ``enum`` where ``site``
+has not, and a plain ``count`` or csv ``export`` needs none of them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from types import SimpleNamespace
 
 from plantedmaps import census, oracle, partition, roundtrips
 from plantedmaps.core import InvariantError, MapError, decode
@@ -41,13 +46,19 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(doc, path: str | None, **layout) -> None:
+    import json
+
+    _emit(json.dumps(doc, **layout) + "\n", path)
+
+
 def _table_text(table: census.CountTable) -> str:
     lines = ["g n count"]
     lines += [f"{g} {n} {c}" for g, n, c in table.rows()]
     return "\n".join(lines) + "\n"
 
 
-def cmd_count(a: argparse.Namespace) -> int:
+def cmd_count(a: SimpleNamespace) -> int:
     table = census.count(a.kind, a.edges)
     text = {
         "table": _table_text,
@@ -58,14 +69,14 @@ def cmd_count(a: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_export(a: argparse.Namespace) -> int:
+def cmd_export(a: SimpleNamespace) -> int:
     table = census.count_range(a.kind, a.max_edges)
     text = table.to_csv() if a.format == "csv" else table.to_json() + "\n"
     _emit(text, a.output)
     return EXIT_OK
 
 
-def cmd_classify(a: argparse.Namespace) -> int:
+def cmd_classify(a: SimpleNamespace) -> int:
     if a.genus < 2 or a.edges < 2:
         raise MapError(
             "classify needs maps of genus >= 2 with >= 2 edges "
@@ -78,24 +89,24 @@ def cmd_classify(a: argparse.Namespace) -> int:
         "classes": {leaf: str(hist.classes[leaf]) for leaf in partition.LEAVES},
         "pendant_counts": {dom: str(hist.pendants[dom]) for dom in partition.PENDANT_DOMAINS},
     }
-    _emit(json.dumps(doc, separators=(",", ":")) + "\n", a.output)
+    _emit_json(doc, a.output, separators=(",", ":"))
     return EXIT_OK
 
 
-def cmd_verify(a: argparse.Namespace) -> int:
+def cmd_verify(a: SimpleNamespace) -> int:
     if a.relation == "hz":
         reports = oracle.verify_hz(a.max_n)
     elif a.relation == "bicellular":
         reports = oracle.verify_bicellular(a.max_n)
     else:
         reports = oracle.verify_theorem_range(a.max_n)
-    _emit(json.dumps(reports, indent=2) + "\n", a.output)
+    _emit_json(reports, a.output, indent=2)
     return EXIT_OK if all(r["ok"] for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_roundtrip(a: argparse.Namespace) -> int:
+def cmd_roundtrip(a: SimpleNamespace) -> int:
     report = roundtrips.roundtrip(a.bijection, a.g, a.n)
-    _emit(json.dumps(report, indent=2) + "\n", a.output)
+    _emit_json(report, a.output, indent=2)
     if report["ok"] and report["domain_size"] == 0:
         # Any codomain element would have been a failure: both sides are empty.
         print(
@@ -106,7 +117,7 @@ def cmd_roundtrip(a: argparse.Namespace) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def cmd_show(a: argparse.Namespace) -> int:
+def cmd_show(a: SimpleNamespace) -> int:
     mp = decode(a.map)
     doc = {
         "kind": mp.kind(),
@@ -120,7 +131,7 @@ def cmd_show(a: argparse.Namespace) -> int:
         pc = partition.classify(mp)
         doc["class"] = pc.leaf
         doc["scenario"] = partition.scenario(mp)
-    _emit(json.dumps(doc, separators=(",", ":")) + "\n", a.output)
+    _emit_json(doc, a.output, separators=(",", ":"))
     return EXIT_OK
 
 
@@ -194,6 +205,8 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """A new argparse parser for the commands of ``_COMMANDS``, for the
     lines that :func:`_plain_args` leaves to argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="plantedmaps",
         description="Exact census, partition and bijection checks for planted cellular maps.",
@@ -207,17 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """What ``build_parser().parse_args(argv)`` returns, read off
-    ``_COMMANDS`` with no parser, when ``argv`` is a command's exact name
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes that ``build_parser().parse_args(argv)`` sets, read
+    off ``_COMMANDS`` with no parser, when ``argv`` is a command's exact name
     and then exact ``--flag value`` pairs of that command: each flag once,
     no value starting with ``-``, each value of its option's type and among
     its choices, every required flag given.  ``None`` for any other line
     (help, usage errors, abbreviations, ``--flag=value``, repeated flags,
     values that start with ``-``), which is argparse's to read.
 
-    Building a parser costs a short command more than its counting, and its
-    first message lookup imports ``locale``; this path does neither.
+    Building a parser costs a short command more than its counting,
+    importing ``argparse`` loads ``gettext`` and ``re``, and a parser's first
+    message lookup imports ``locale``; this path does none of these.
     """
     if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
         return None
@@ -235,7 +249,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in spec and value not in spec["choices"]:
             return None
         given[flag] = value
-    args = argparse.Namespace(command=argv[0], handler=handler)
+    args = SimpleNamespace(command=argv[0], handler=handler)
     for flag, spec in options.items():
         if flag not in given and spec.get("required"):
             return None
@@ -248,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv, namespace=SimpleNamespace())
     try:
         return args.handler(args)
     except InvariantError as exc:

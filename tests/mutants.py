@@ -209,6 +209,26 @@ MUTANTS = (
         "return self.alpha == other.alpha",
         ("test_core.py",),
     ),
+    # The Euler defect's parity check dropped: an odd defect read as a genus.
+    (
+        CORE,
+        "if defect % 2:",
+        "if False:",
+        ("test_core.py",),
+    ),
+    # json imported by core, argparse by cli, on every command line.
+    (
+        CORE,
+        "from bisect import bisect_right\n",
+        "import json\nfrom bisect import bisect_right\n",
+        ("test_cli.py",),
+    ),
+    (
+        CLI,
+        "import sys\nfrom types import SimpleNamespace\n",
+        "import argparse\nimport sys\nfrom types import SimpleNamespace\n",
+        ("test_cli.py",),
+    ),
     # cli._plain_args: a value outside its option's choices read off the table.
     (
         CLI,

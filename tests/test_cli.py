@@ -213,9 +213,12 @@ def _parsed(argv):
 
 
 def _assert_plain_path_agrees(argv):
-    """The plain path reads ``argv`` as argparse does, or leaves it to it."""
+    """The plain path reads ``argv`` as argparse does, or leaves it to it:
+    the same attributes with the same values, whatever the namespace type."""
     plain = _plain_args(argv)
-    assert plain is None or plain == _parsed(argv), argv
+    if plain is not None:
+        parsed = _parsed(argv)
+        assert parsed is not None and vars(plain) == vars(parsed), argv
     return plain
 
 
@@ -331,22 +334,31 @@ def test_well_formed_commands_build_no_parser(capsys, monkeypatch):
     assert built == [1] and capsys.readouterr().out.splitlines()[-1] == "1 3 10"
 
 
-def test_well_formed_command_loads_no_locale():
-    # argparse's first message lookup imports locale; no site (-S), since a
-    # .pth file may import it on its own.
+def test_plain_lines_load_no_argparse_json_re_or_locale():
+    # A plain line needs no parser and writes no JSON.  argparse pulls in
+    # gettext and re, and its first message lookup imports locale; json pulls
+    # in re, which pulls in enum.  No site (-S), since a .pth file may import
+    # any of them on its own.  The lines run in one process: a module that one
+    # of them loaded would still be there at the end.
     src = str(Path(plantedmaps.__file__).resolve().parents[1])
+    lines = [
+        "count --kind uni --edges 4",
+        "count --kind uni --edges 4 --format csv",
+        "export --kind bi --max-edges 3 --format csv",
+    ]
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from plantedmaps.cli import main\n"
-        "main(['count', '--kind', 'uni', '--edges', '4'])\n"
-        "print('locale' in sys.modules)\n"
+        f"codes = [main(line.split()) for line in {lines!r}]\n"
+        "unused = {'argparse', 'json', 're', 'enum', 'gettext', 'locale'}\n"
+        "print(codes, sorted(unused & set(sys.modules)))\n"
     )
     res = subprocess.run(
         [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "False"
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_unwritable_output_exit_2(tmp_path, capsys):

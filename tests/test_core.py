@@ -11,6 +11,7 @@ from plantedmaps.core import (
     Disconnected,
     FaceStructure,
     HasFixedPoint,
+    InvariantError,
     MapError,
     NotInvolution,
     ParseError,
@@ -141,6 +142,18 @@ def test_bicellular_connectivity():
     assert crossing.is_connected
     assert crossing.kind() == "bicellular"
     assert crossing.genus() == 0
+
+
+@pytest.mark.parametrize("vertices, message", [(2, "odd Euler defect 1"), (5, "negative genus -1")])
+def test_impossible_euler_defects_are_failed_checks(vertices, message):
+    # V - E + k = 2c - 2 * (sum of genera) makes the defect of every map even
+    # and a connected map's genus non-negative: a fault of the program (exit 1),
+    # not of its input.  Forced here with a wrong vertex count on a pendant
+    # edge, which has 3 vertices.
+    m = CellularMap(PENDANT.faces, PENDANT.alpha)
+    object.__setattr__(m, "_vertex_count", vertices)
+    with pytest.raises(InvariantError, match=message):
+        m.genus()
 
 
 def _connected_by_search(m):
